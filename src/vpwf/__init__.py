@@ -12,7 +12,7 @@ isoperimetric monitors, sphere fitting) and parabolic rescaling tools
 around it.  See README.md for the command-line interface.
 """
 
-from .mesh import TriMesh, MeshTopologySummary, validate, face_area_normal
+from .mesh import TriMesh, MeshTopologySummary, validate
 from .ddg import GeometryCache, LaplaceOperator, build_cache
 from .functionals import (
     EnergyReport,
@@ -59,7 +59,7 @@ from .rescale import (
 from .generators import ellipsoid, icosphere, perturbed_sphere, torus
 
 __all__ = [
-    "TriMesh", "MeshTopologySummary", "validate", "face_area_normal",
+    "TriMesh", "MeshTopologySummary", "validate",
     "GeometryCache", "LaplaceOperator", "build_cache",
     "EnergyReport", "area", "energy_report", "lagrange_multiplier",
     "scalar_willmore_gradient", "signed_volume", "wbar", "willmore",

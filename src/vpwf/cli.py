@@ -1,13 +1,15 @@
 """Command-line front end: generate | simulate | analyze | rescale.
 
 Configuration comes from flags plus an optional key=value file given with
---config; flags win over file values.  Exit codes: 0 ok, 2 bad arguments,
-3 I/O or parse failure, 4 flow failure.
+--config; flags win over file values.  In the file, a switch such as
+``quality`` is set by on/true/yes and left unset by off/false/no.  Exit
+codes: 0 ok, 2 bad arguments, 3 I/O or parse failure, 4 flow failure.
 """
 
 import argparse
 import math
 import os
+import re
 import sys
 
 # honor the thread cap before numpy initializes its pools
@@ -39,6 +41,9 @@ EXIT_BAD_ARGS = 2
 EXIT_IO = 3
 EXIT_FLOW = 4
 
+# a comma-separated list whose first entry is a negative number
+_NEGATIVE_LIST = re.compile(r"-\.?\d[^,]*,")
+
 
 def _float_list(text):
     try:
@@ -66,9 +71,6 @@ def _add_generator_args(p):
     p.add_argument("--harmonic-l", type=int, default=3)
     p.add_argument("--harmonic-m", type=int, default=2)
     p.add_argument("--amplitude", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0,
-                   help="random seed (generators are deterministic; kept "
-                        "for reproducibility bookkeeping)")
 
 
 def _add_flow_args(p):
@@ -161,14 +163,15 @@ def _apply_config_file(parser, argv):
     except OSError as exc:
         print("vpwf: cannot read config: %s" % exc, file=sys.stderr)
         sys.exit(EXIT_IO)
-    # inject as option tokens ahead of the user's flags so flags win
+    # inject as option tokens ahead of the user's flags so flags win; one
+    # --key=value token each, so a value may start with a minus
     injected = []
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")
         if value.lower() in ("true", "on", "yes"):
             injected.append(flag)
-        else:
-            injected.extend([flag, value])
+        elif value.lower() not in ("false", "off", "no"):
+            injected.append("%s=%s" % (flag, value))
     command, rest = argv[0], argv[1:]
     return [command] + injected + rest
 
@@ -343,8 +346,24 @@ def cmd_rescale(args):
     return EXIT_OK
 
 
+def _join_negative_lists(argv):
+    """Attach a comma list that starts with a minus to the flag before it.
+
+    argparse takes ``-0.34,1.3,-0.58`` for an option, so ``--origin
+    -0.34,1.3,-0.58`` becomes the single token ``--origin=-0.34,1.3,-0.58``.
+    """
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2
+                and "=" not in out[-1] and _NEGATIVE_LIST.match(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_negative_lists(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     if argv and not argv[0].startswith("-"):
         argv = _apply_config_file(parser, argv)

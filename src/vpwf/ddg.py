@@ -268,11 +268,6 @@ def tracefree_sq(H, K):
     return np.maximum(0.5 * H ** 2 - 2.0 * K, 0.0)
 
 
-def laplacian_of_scalar(laplacian, mass, u):
-    """Mass-normalized operator application, same sign convention as H."""
-    return laplacian.apply(u) / mass
-
-
 def build_cache(mesh, corners=None):
     """Assemble every per-vertex quantity the flow and diagnostics need."""
     face_data = _face_geometry(mesh, corners)

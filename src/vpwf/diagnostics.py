@@ -6,6 +6,16 @@ vertex-sampled membership (consistent with the lumped quadrature); the
 candidate ball centers are the vertex positions themselves, which
 understates the true supremum over all of space by at most a covering
 factor, and the error vanishes under refinement.
+
+One membership rule holds for every ball: vertex j lies in the open ball
+of radius r around vertex i when ``sum((p_i - p_j)**2) < r*r``, evaluated
+on direct float64 differences.  The diameter is the largest such direct
+distance, so it is exact.  :func:`record`, :func:`concentration_profile`
+and :func:`diameter` share one pair scan that keeps no n x n array: it
+assembles the pair matrix in row blocks of at most ``_BLOCK_BYTES``
+(512 KiB of float64, a quarter of a 2 MiB L2 cache, so a block and its
+mask stay in cache), uses those products only as bounds and recomputes
+every returned value by the direct rule.
 """
 
 from dataclasses import dataclass
@@ -26,7 +36,9 @@ from .mesh import bounding_box_extent, face_quality
 
 LI_YAU_THRESHOLD = 8.0 * np.pi
 
-_CHUNK = 512
+# bytes of one float64 block of the pair matrix; a block has as many rows
+# as fit, so the block and its mask together fill half of a 2 MiB L2 cache
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclass
@@ -52,107 +64,98 @@ class DiagnosticsRecord:
     li_yau: bool
 
 
-def _scan_frame(mesh, cache, radii):
-    """Fused chunked scan: exact diameter plus kappa at every radius.
+def _pair_scan(p, weights=None, radii=()):
+    """Exact diameter and the heaviest vertex-centred ball at each radius.
 
-    Distances are assembled in float32; every near-maximal pair is
-    recomputed in float64, so the diameter is exact.  Ball membership for
-    the kappa columns uses the float32 distances directly (the weight sums
-    stay float64): across radii the balls are exactly nested, so the
-    recorded profile is monotone, and radii not smaller than the diameter
-    skip the scan because their ball is the whole surface.  The direct
-    :func:`concentration` entry point keeps full float64 membership.
+    Each pair is visited once: rows lo:hi against columns lo: form one
+    block, one matrix product on centred augmented coordinates
+    ``[q, |q|^2, 1]`` and ``[-2q, 1, |q|^2]``.  The blocks only bound the
+    answer.  The diameter is the largest direct distance among the pairs
+    within twice the rounding band of the running block maximum.  Each
+    live radius gets an upper bound of every centre's content (threshold
+    r^2 plus the band, which needs ``weights >= 0``); centres are then
+    recomputed by the direct rule in decreasing bound order until the
+    bound plus a summation slack falls below the best exact content.  A
+    ball that holds every vertex gives the total at centre 0.
+
+    Returns (diam, values, centres): the exact maximum and its first
+    maximizing vertex per radius.
     """
-    p = mesh.positions
     n = p.shape[0]
-    radii = np.asarray(radii, dtype=np.float64)
-    weights = cache.abs_A_sq * cache.mass
-    total = float(np.sum(weights))
-    p32 = p.astype(np.float32)
-    sq32 = np.einsum("ij,ij->i", p32, p32)
-    p32_t = np.ascontiguousarray(p32.T)
-    scale = float(np.max(np.abs(p))) ** 2 + 1.0
-    band = np.float32(1e-5 * scale)
+    radii_sq = [float(r) * float(r) for r in radii]
+    q = p - p.mean(axis=0)
+    sq = np.einsum("ij,ij->i", q, q)
+    # bounds the gap between a block entry and the direct difference: the
+    # rounding of the centring, of the 5-term product and of the direct sum
+    # adds up to about 25 eps * scale, so this leaves a tenfold margin
+    scale = float(sq.max())
+    band = 256.0 * np.finfo(np.float64).eps * scale
+    exact_rows = {}
 
-    radii_sq32 = (radii ** 2).astype(np.float32)
-    kappa = np.full(radii.size, -np.inf)
-    kappa_center = np.zeros(radii.size, dtype=np.int64)
+    def exact_sq(i):
+        if i not in exact_rows:
+            exact_rows[i] = np.sum((p - p[i]) ** 2, axis=1)
+        return exact_rows[i]
 
-    chunks = []
-    max32 = np.float32(0.0)
-    for lo in range(0, n, _CHUNK):
-        c32 = p32[lo:lo + _CHUNK]
-        d32 = c32 @ p32_t
-        d32 *= np.float32(-2.0)
-        d32 += sq32[None, :]
-        d32 += sq32[lo:lo + c32.shape[0], None]
-        chunk_max = d32.max()
-        chunks.append((lo, d32, chunk_max))
-        max32 = max(max32, chunk_max)
+    # no pair is farther apart than twice the largest centroid distance
+    live = [k for k, r_sq in enumerate(radii_sq)
+            if r_sq <= 4.0 * scale + band]
+    ones = np.ones(n)
+    left = np.column_stack([q, sq, ones])
+    right_t = np.ascontiguousarray(np.column_stack([-2.0 * q, ones, sq]).T)
+    buffers = np.empty((2, max(_BLOCK_BYTES // 8, n)))
+    upper = np.zeros((len(live), n))
+    top, near = -np.inf, []
+    # each pair once: rows lo:hi against columns lo:, credited to both ends
+    lo = 0
+    while lo < n:
+        width = n - lo
+        hi = min(n, lo + max(1, _BLOCK_BYTES // (8 * width)))
+        d2, inside = (b[:(hi - lo) * width].reshape(hi - lo, width)
+                      for b in buffers)
+        np.matmul(left[lo:hi], right_t[:, lo:], out=d2)
+        block_top = float(d2.max())
+        if block_top >= top - 2.0 * band:
+            top = max(top, block_top)
+            rows, cols = np.divmod(np.flatnonzero(d2 >= top - 2.0 * band),
+                                   width)
+            near.append((rows + lo, cols + lo))
+        for slot, k in enumerate(live):
+            np.less(d2, radii_sq[k] + band, out=inside)
+            upper[slot, lo:hi] += inside @ weights[lo:]
+            upper[slot, hi:] += weights[lo:hi] @ inside[:, hi - lo:]
+        lo = hi
+    i, j = (np.concatenate(ends) for ends in zip(*near))
+    diam_sq = float(np.max(np.sum((p[i] - p[j]) ** 2, axis=1)))
 
-    def exact_sq(rows, cols):
-        diff = p[rows] - p[cols]
-        return np.einsum("ij,ij->i", diff, diff)
-
-    # diameter: exact refinement of every float32 near-maximal pair; the
-    # doubled band covers the error of both the winner and the candidates
-    best_exact = 0.0
-    for lo, d32, chunk_max in chunks:
-        if chunk_max < max32 - 2 * band:
+    # covers the rounding of the bound's and the direct rule's sums
+    slack = 0.0 if weights is None else (
+        2.0 * n * np.finfo(np.float64).eps * float(weights.sum()))
+    values = np.empty(len(radii_sq))
+    centres = np.zeros(len(radii_sq), dtype=np.int64)
+    for k, r_sq in enumerate(radii_sq):
+        if k not in live or r_sq > diam_sq:
+            values[k] = weights[exact_sq(0) < r_sq].sum()
             continue
-        rows, cols = np.nonzero(d32 >= max32 - 2 * band)
-        if rows.size:
-            best_exact = max(best_exact,
-                             float(exact_sq(rows + lo, cols).max()))
-    diam = float(np.sqrt(best_exact))
-
-    for k, r in enumerate(radii):
-        if r >= diam:
-            kappa[k] = total
-            kappa_center[k] = int(np.argmax(weights))
-            continue
-        r_sq32 = radii_sq32[k]
-        best_val, best_center = -np.inf, 0
-        for lo, d32, _ in chunks:
-            sums = (d32 < r_sq32) @ weights
-            arg = int(np.argmax(sums))
-            if sums[arg] > best_val:
-                best_val, best_center = float(sums[arg]), arg + lo
-        kappa[k] = best_val
-        kappa_center[k] = best_center
-
-    return diam, kappa, mesh.positions[kappa_center]
-
-
-def _ball_sums(points, weights, centers, radii_sq):
-    """Summed weights inside open balls around each center, per radius.
-
-    Returns an array of shape (len(radii_sq), len(centers)).  The chunked
-    distance matrix is assembled in place and each radius reuses it.
-    """
-    out = np.empty((len(radii_sq), centers.shape[0]))
-    pt_sq = np.einsum("ij,ij->i", points, points)
-    points_t = np.ascontiguousarray(points.T)
-    masked = None
-    for lo in range(0, centers.shape[0], _CHUNK):
-        c = centers[lo:lo + _CHUNK]
-        d_sq = c @ points_t
-        d_sq *= -2.0
-        d_sq += pt_sq[None, :]
-        d_sq += np.einsum("ij,ij->i", c, c)[:, None]
-        if masked is None or masked.shape[0] != d_sq.shape[0]:
-            masked = np.empty_like(d_sq)
-        for k, r_sq in enumerate(radii_sq):
-            np.multiply(d_sq < r_sq, weights[None, :], out=masked)
-            out[k, lo:lo + c.shape[0]] = masked.sum(axis=1)
-    return out
+        bound = upper[live.index(k)]
+        best, arg = -np.inf, 0
+        for c in np.argsort(-bound, kind="stable"):
+            if bound[c] + slack < best:
+                break
+            value = weights[exact_sq(c) < r_sq].sum()
+            if value > best or (value == best and c < arg):
+                best, arg = value, c
+        values[k], centres[k] = best, arg
+    return float(np.sqrt(diam_sq)), values, centres
 
 
 def concentration_profile(mesh, cache, radii):
     """Concentration function at several radii; also the maximizing centers.
 
     kappa(r) is the largest curvature energy integral(|A|^2) over any open
-    ball of radius r centered at a vertex.
+    ball of radius r centered at a vertex: the largest
+    ``weights[d2 < r*r].sum()`` with direct float64 ``d2`` (the module's
+    one membership rule), exact, at the first vertex that attains it.
 
     Returns
     -------
@@ -163,16 +166,16 @@ def concentration_profile(mesh, cache, radii):
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     weights = cache.abs_A_sq * cache.mass
-    sums = _ball_sums(
-        mesh.positions, weights, mesh.positions, radii ** 2
-    )
-    best = np.argmax(sums, axis=1)
-    values = sums[np.arange(len(radii)), best]
-    return values, mesh.positions[best]
+    _, values, centres = _pair_scan(mesh.positions, weights, radii)
+    return values, mesh.positions[centres]
 
 
 def concentration(mesh, cache, radius):
-    """Concentration function value and its maximizing center at one radius."""
+    """Concentration function value and its maximizing center at one radius.
+
+    Same rule as :func:`concentration_profile`; equals the ``kappa`` entry
+    that :func:`record` writes for this radius.
+    """
     values, centers = concentration_profile(mesh, cache, [radius])
     return float(values[0]), centers[0]
 
@@ -216,11 +219,11 @@ def concentration_radius(mesh, cache, threshold, rel_tol=1e-6):
 
 
 def diameter(mesh):
-    """Exact maximum vertex-pair distance.
+    """Exact maximum vertex-pair distance, a direct float64 difference.
 
     The axis-aligned extent gives a cheap lower bound; any endpoint of a
     maximal pair must lie at least half that bound from the centroid, which
-    prunes interior vertices before the quadratic scan.
+    prunes interior vertices before the pair scan.
     """
     p = mesh.positions
     lower = float(np.max(bounding_box_extent(p)))
@@ -229,18 +232,7 @@ def diameter(mesh):
     # an endpoint x of a pair with |x - y| >= lower needs
     # |x - c| >= lower - max_j |y_j - c|
     r_max = float(dist.max())
-    cand = p[dist >= lower - r_max - 1e-12 * lower]
-    best_sq = lower * lower
-    sq = np.einsum("ij,ij->i", cand, cand)
-    cand_t = np.ascontiguousarray(cand.T)
-    for lo in range(0, cand.shape[0], _CHUNK):
-        c = cand[lo:lo + _CHUNK]
-        d_sq = c @ cand_t
-        d_sq *= -2.0
-        d_sq += sq[None, :]
-        d_sq += sq[lo:lo + c.shape[0], None]
-        best_sq = max(best_sq, float(d_sq.max()))
-    return float(np.sqrt(best_sq))
+    return _pair_scan(p[dist >= lower - r_max - 1e-12 * lower])[0]
 
 
 def diameter_bound(area, willmore_energy):
@@ -341,7 +333,12 @@ def sphere_fit(mesh, weights=None):
 
 
 def record(state, cache, config):
-    """Assemble the full diagnostics row for one flow state."""
+    """Assemble the full diagnostics row for one flow state.
+
+    The diameter and every ``kappa`` column come from one pair scan: the
+    diameter is exact and ``kappa[r]`` equals ``concentration(mesh, cache,
+    r)`` bit for bit, by the direct rule ``sum((p_i - p_j)**2) < r*r``.
+    """
     mesh = state.mesh
     area = cache.total_area
     volume = signed_volume(mesh)
@@ -350,7 +347,8 @@ def record(state, cache, config):
     chi = mesh.topology().euler_characteristic
     lam = lagrange_multiplier(cache, area)
     radii = tuple(config.kappa_radii)
-    diam, kappa_vals, _ = _scan_frame(mesh, cache, radii)
+    diam, kappa_vals, _ = _pair_scan(
+        mesh.positions, cache.abs_A_sq * cache.mass, radii)
     bound = diameter_bound(area, w)
     kappa = dict(zip(radii, kappa_vals.tolist()))
     return DiagnosticsRecord(

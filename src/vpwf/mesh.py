@@ -220,31 +220,6 @@ def face_areas_normals(mesh, check=True):
     return areas, normals.T
 
 
-def face_area_normal(mesh, face_index):
-    """Area and unit winding normal of one face.
-
-    The area is half the cross-product magnitude of two edge vectors; the
-    normal direction follows the winding.
-    """
-    p = mesh.positions
-    i, j, k = mesh.faces[face_index]
-    cross = np.cross(p[j] - p[i], p[k] - p[i])
-    double_area = float(np.linalg.norm(cross))
-    area = 0.5 * double_area
-    if area < mesh.area_floor():
-        raise DegenerateFaceError(
-            "face %d has area %.3e below floor %.3e"
-            % (face_index, area, mesh.area_floor())
-        )
-    return area, cross / double_area
-
-
-def shortest_edge_length(mesh):
-    """Minimum edge length (every edge appears among the face edges)."""
-    edges = face_edges(gather_corners(mesh))
-    return float(np.sqrt(dot3(edges, edges)).min())
-
-
 def face_quality(mesh):
     """Per-face shape quality 4*sqrt(3)*area / sum of squared edge lengths.
 

@@ -107,6 +107,27 @@ def brute_force_diameter(points):
     return best
 
 
+def direct_ball_contents(positions, weights, radius):
+    """Content of the open ball around every vertex, by the direct rule.
+
+    ``weights[d2 < r*r].sum()`` with ``d2 = sum((p_i - p_j)**2)``, one
+    float64 difference per pair.  Its max and first argmax are the
+    concentration value and centre.
+    """
+    r_sq = radius * radius
+    return np.array([
+        weights[np.sum((positions - x) ** 2, axis=1) < r_sq].sum()
+        for x in positions
+    ])
+
+
+def random_rigid_motion(positions, seed):
+    """Positions under a rotation and translation picked by ``seed``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return positions @ q.T + rng.uniform(-2.0, 2.0, size=3)
+
+
 def brute_force_ball_energy(positions, weights, center, radius):
     """Direct evaluation of the local curvature energy in one open ball."""
     d = np.linalg.norm(positions - center, axis=1)
@@ -120,6 +141,38 @@ def brute_force_concentration(positions, weights, radius):
         val = brute_force_ball_energy(positions, weights, positions[i], radius)
         best = max(best, val)
     return best
+
+
+def face_area_normal(mesh, face_index):
+    """Area and unit winding normal of one face, by one cross product.
+
+    Raises DegenerateFaceError below the mesh's area floor.
+    """
+    from vpwf.errors import DegenerateFaceError
+
+    p = mesh.positions
+    i, j, k = mesh.faces[face_index]
+    cross = np.cross(p[j] - p[i], p[k] - p[i])
+    double_area = float(np.linalg.norm(cross))
+    area = 0.5 * double_area
+    if area < mesh.area_floor():
+        raise DegenerateFaceError(
+            "face %d has area %.3e below floor %.3e"
+            % (face_index, area, mesh.area_floor())
+        )
+    return area, cross / double_area
+
+
+def shortest_edge_length(mesh):
+    """Minimum length over the three edges of every face."""
+    p, faces = mesh.positions, mesh.faces
+    edges = p[np.roll(faces, -1, axis=1)] - p[faces]
+    return float(np.sqrt(np.sum(edges ** 2, axis=2)).min())
+
+
+def laplacian_of_scalar(laplacian, mass, u):
+    """Mass-normalized operator application, same sign convention as H."""
+    return laplacian.apply(u) / mass
 
 
 def octahedron(scale=1.0):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vpwf.cli import main
+from vpwf.cli import _apply_config_file, build_parser, main
 from vpwf.fileio import read_obj, read_trajectory_csv
 from vpwf.mesh import validate
 
@@ -141,6 +141,38 @@ class TestRescaleCli:
         original = read_obj(mesh_path)
         assert np.allclose(scaled.positions, original.positions / 2.0)
 
+    @pytest.mark.parametrize("origin_args", [
+        ["--origin", "-0.34,1.3,-0.58"],
+        ["--origin=-0.34,1.3,-0.58"],
+    ])
+    def test_negative_origin(self, tmp_path, trajectory_csv, origin_args):
+        mesh_path = tmp_path / "m.obj"
+        assert main(["generate", "--shape", "icosphere", "--level", "1",
+                     "--out", str(mesh_path)]) == 0
+        assert main(["rescale", str(trajectory_csv), "--rho", "2.0"]
+                    + origin_args + ["--out", str(tmp_path / "y.csv"),
+                                     "--mesh", str(mesh_path)]) == 0
+        scaled = read_obj(tmp_path / "m.rescaled.obj")
+        original = read_obj(mesh_path)
+        origin = np.array([-0.34, 1.3, -0.58])
+        assert np.allclose(scaled.positions,
+                           (original.positions - origin) / 2.0)
+
+    def test_negative_origin_in_config(self, tmp_path, trajectory_csv):
+        cfg = tmp_path / "rescale.cfg"
+        cfg.write_text("rho=2.0\norigin=-0.34,1.3,-0.58\n")
+        mesh_path = tmp_path / "m.obj"
+        assert main(["generate", "--shape", "icosphere", "--level", "1",
+                     "--out", str(mesh_path)]) == 0
+        assert main(["rescale", str(trajectory_csv), "--config", str(cfg),
+                     "--out", str(tmp_path / "y.csv"),
+                     "--mesh", str(mesh_path)]) == 0
+        scaled = read_obj(tmp_path / "m.rescaled.obj")
+        original = read_obj(mesh_path)
+        origin = np.array([-0.34, 1.3, -0.58])
+        assert np.allclose(scaled.positions,
+                           (original.positions - origin) / 2.0)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
@@ -175,6 +207,25 @@ class TestConfigFile:
             assert code == 0
             assert out.exists()
 
+    @pytest.mark.parametrize("value, expected", [
+        ("on", True), ("true", True), ("yes", True),
+        ("off", False), ("false", False), ("no", False),
+    ])
+    def test_switch_values(self, tmp_path, value, expected):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shape=icosphere\nlevel=1\nquality=%s\n" % value)
+        parser = build_parser()
+        argv = _apply_config_file(parser, ["simulate", "--config", str(cfg)])
+        assert parser.parse_args(argv).quality is expected
+
+    def test_quality_off_runs(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shape=icosphere\nlevel=1\nquality=off\n")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(cfg), "--max-steps", "0",
+                     "--csv", str(out)]) == 0
+        assert out.exists()
+
     def test_missing_config_exit_3(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["generate", "--config", str(tmp_path / "none.cfg"),
@@ -185,7 +236,7 @@ class TestConfigFile:
 def test_generate_deterministic(tmp_path):
     a, b = tmp_path / "a.obj", tmp_path / "b.obj"
     args = ["generate", "--shape", "perturbed_sphere", "--level", "2",
-            "--amplitude", "0.07", "--seed", "5"]
+            "--amplitude", "0.07"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()

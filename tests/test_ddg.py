@@ -8,7 +8,6 @@ from vpwf.ddg import (
     build_cache,
     build_laplacian,
     gaussian_curvature,
-    laplacian_of_scalar,
     lumped_mass,
     mean_curvature,
     tracefree_sq,
@@ -18,7 +17,12 @@ from vpwf.errors import DegenerateFaceError, ZeroNormalError
 from vpwf.generators import icosphere, torus
 from vpwf.mesh import TriMesh
 
-from oracles import octahedron, sphere_values, torus_curvatures
+from oracles import (
+    laplacian_of_scalar,
+    octahedron,
+    sphere_values,
+    torus_curvatures,
+)
 
 
 def flipped(mesh):

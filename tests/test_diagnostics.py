@@ -1,5 +1,10 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpwf.ddg import build_cache
 from vpwf.diagnostics import (
@@ -21,13 +26,15 @@ from vpwf.errors import (
 )
 from vpwf.flow import FlowConfig, initial_state
 from vpwf.functionals import wbar, willmore
-from vpwf.generators import icosphere, perturbed_sphere, torus
+from vpwf.generators import ellipsoid, icosphere, perturbed_sphere, torus
 from vpwf.mesh import TriMesh
 
 from oracles import (
     brute_force_concentration,
     brute_force_diameter,
+    direct_ball_contents,
     octahedron,
+    random_rigid_motion,
 )
 
 
@@ -271,3 +278,101 @@ class TestRecord:
         assert abs(row.gauss_bonnet_defect) == pytest.approx(
             abs(row.wbar - 2 * row.willmore), rel=1e-12
         )
+
+
+def _assert_scan_exact(positions, weights, radii):
+    """diameter and concentration_profile against the direct oracles."""
+    mesh = SimpleNamespace(positions=positions)
+    cache = SimpleNamespace(abs_A_sq=weights, mass=np.ones(len(weights)))
+    assert diameter(mesh) == brute_force_diameter(positions)
+    values, centres = concentration_profile(mesh, cache, radii)
+    for r, value, centre in zip(radii, values, centres):
+        contents = direct_ball_contents(positions, weights, r)
+        first = int(np.argmax(contents))
+        assert value == contents[first]
+        assert np.array_equal(centre, positions[first])
+    order = np.argsort(radii, kind="stable")
+    assert np.all(np.diff(values[order]) >= 0.0)
+
+
+class TestPairScanProperties:
+    """The one pair scan equals a direct float64 brute force exactly."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 120),
+        seed=st.integers(0, 2 ** 32 - 1),
+        offset=st.floats(-1e3, 1e3),
+        spread=st.sampled_from([1e-3, 1.0, 50.0]),
+        clusters=st.integers(0, 6),
+        fractions=st.lists(st.floats(1e-3, 1.2), min_size=1, max_size=4),
+    )
+    def test_random_clouds(self, n, seed, offset, spread, clusters,
+                           fractions):
+        rng = np.random.default_rng(seed)
+        points = offset + spread * rng.normal(size=(n, 3))
+        weights = rng.uniform(0.1, 1.0, size=n)
+        if clusters:
+            # near-coincident points with weights from a short list: many
+            # centres hold the same ball, so contents tie exactly or to the
+            # last bit and only the first-argmax rule decides
+            points = (offset + spread * rng.normal(size=(clusters, 3)))[
+                rng.integers(clusters, size=n)]
+            points += 1e-6 * spread * rng.normal(size=(n, 3))
+            weights = rng.choice([0.1, 0.3, 0.7], size=n)
+        diam = brute_force_diameter(points)
+        radii = [max(f * diam, 1e-9 * spread) for f in fractions]
+        _assert_scan_exact(points, weights, radii)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        shape=st.sampled_from(["icosphere", "ellipsoid"]),
+        radii=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3),
+    )
+    def test_meshes_under_rigid_motion(self, seed, shape, radii):
+        base = (icosphere(3) if shape == "icosphere"
+                else ellipsoid(1.2, 1.0, 0.85, 3))
+        mesh = TriMesh(random_rigid_motion(base.positions, seed), base.faces)
+        cache = build_cache(mesh)
+        weights = cache.abs_A_sq * cache.mass
+        _assert_scan_exact(mesh.positions, weights, radii)
+        row = record(initial_state(mesh, cache), cache,
+                     FlowConfig(kappa_radii=tuple(radii)))
+        assert row.diameter == diameter(mesh)
+        for r in radii:
+            assert row.kappa[r] == concentration(mesh, cache, r)[0]
+
+    def test_rounding_scale_balls(self):
+        # balls as small as the rounding of the block products: membership
+        # rests on the band and the direct recomputation alone
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            points = rng.normal(size=(4, 3))[rng.integers(4, size=300)]
+            points += 1e-7 * rng.normal(size=points.shape)
+            weights = rng.choice([0.1, 0.3, 0.7], size=300)
+            _assert_scan_exact(points, weights, [1e-7, 2e-7, 5e-7])
+
+    def test_level4_ties(self, sphere4, ellipsoid4):
+        # mirror-symmetric centres of the ellipsoid tie to within 2e-16;
+        # the scan must still return the first of them
+        moved = TriMesh(sphere4[0].positions + [0.1, -0.3, 0.2],
+                        sphere4[0].faces)
+        for mesh, radii in ((moved, (1.0, 3.0)),
+                            (ellipsoid4[0], (0.5, 1.0, 4.0))):
+            cache = build_cache(mesh)
+            _assert_scan_exact(mesh.positions, cache.abs_A_sq * cache.mass,
+                               list(radii))
+
+    def test_record_memory(self, sphere4):
+        mesh, cache = sphere4
+        state = initial_state(mesh, cache)
+        config = FlowConfig(kappa_radii=(1.0, 3.0))
+        record(state, cache, config)
+        tracemalloc.start()
+        try:
+            record(state, cache, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20

@@ -10,13 +10,11 @@ from vpwf.errors import (
 from vpwf.generators import icosphere, torus
 from vpwf.mesh import (
     TriMesh,
-    face_area_normal,
     face_areas_normals,
-    shortest_edge_length,
     validate,
 )
 
-from oracles import octahedron
+from oracles import face_area_normal, octahedron, shortest_edge_length
 
 
 class TestValidate:
