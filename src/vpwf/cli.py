@@ -83,7 +83,10 @@ def _add_flow_args(p):
     p.add_argument("--speed-tol", type=float, default=0.0,
                    help="stop when max normal speed drops below (0 = off)")
     p.add_argument("--wbar-tol", type=float, default=0.0,
-                   help="stop when the bending energy drops below (0 = off)")
+                   help="stop when the bending energy drops below (0 = off); "
+                        "the clamp max(H^2/2 - 2K, 0) can make it exactly 0 "
+                        "while the surface is still visibly non-round, so "
+                        "use --speed-tol to detect convergence")
     p.add_argument("--quality", action="store_true", default=False,
                    help="enable edge flips and tangential smoothing")
     p.add_argument("--quality-cadence", type=int, default=25)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .errors import DegenerateFaceError, ZeroNormalError
 from .mesh import cross3, dot3, dot_rows, face_edges, gather_corners
@@ -27,6 +28,39 @@ from .mesh import cross3, dot3, dot_rows, face_edges, gather_corners
 # Half-cotangents are clamped from below to limit blow-up on near-degenerate
 # triangles; the quality pass in the flow engine is the primary defense.
 COT_HALF_WEIGHT_FLOOR = -10.0
+
+
+def _matvec(a, x):
+    """``a @ x`` for a CSR matrix ``a`` and a vector or (n, k) stack ``x``.
+
+    ``a`` is anything with CSR ``indptr``/``indices``/``data`` and a
+    ``shape``.  This runs the compiled kernel that ``@`` ends up in, on the
+    same arrays and into the same zeroed output, so every sum keeps its
+    order and its rounding.  It skips scipy's dispatch around the kernel,
+    which costs more than the product itself on meshes of a few thousand
+    vertices.
+    """
+    rows, cols = a.shape
+    x = np.asarray(x)
+    # the kernel reads x at every column index unchecked
+    if x.ndim not in (1, 2) or x.shape[0] != cols:
+        raise ValueError(
+            "operand of shape %s does not fit a %d x %d matrix"
+            % (x.shape, rows, cols)
+        )
+    if x.ndim == 1:
+        out = np.zeros(rows)
+        _sparsetools.csr_matvec(
+            rows, cols, a.indptr, a.indices, a.data, x, out
+        )
+    else:
+        k = x.shape[1]
+        out = np.zeros((rows, k))
+        _sparsetools.csr_matvecs(
+            rows, cols, k, a.indptr, a.indices, a.data, x.ravel(),
+            out.ravel(),
+        )
+    return out
 
 
 def _summation_matrix(rows, cols, shape, values=None):
@@ -104,25 +138,33 @@ def _connectivity(mesh):
 
 
 class LaplaceOperator:
-    """Cotangent Laplace operator as a sparse symmetric matrix.
+    """Cotangent Laplace operator, a sparse symmetric matrix in CSR arrays.
 
     ``weights`` holds the per-face-edge half-cotangent contributions (three
-    per face, clamped, component-first); the matrix accumulates them
-    symmetrically with zero row sums.
+    per face, clamped, component-first); ``data`` accumulates them
+    symmetrically with zero row sums, on the connectivity's sparsity
+    pattern (``indices``/``indptr``).
     """
 
     def __init__(self, conn, weights):
-        self.vertex_count = conn.vertex_count
         n = conn.vertex_count
-        self.matrix = sparse.csr_matrix(
-            (conn.assemble @ weights.reshape(-1), conn.indices, conn.indptr),
-            shape=(n, n),
+        self.vertex_count = n
+        self.shape = (n, n)
+        self.indices = conn.indices
+        self.indptr = conn.indptr
+        self.data = _matvec(conn.assemble, weights.reshape(-1))
+
+    @property
+    def matrix(self):
+        """The operator as a ``scipy.sparse.csr_matrix`` (built per call)."""
+        return sparse.csr_matrix(
+            (self.data, self.indices, self.indptr), shape=self.shape,
             copy=False,
         )
 
     def apply(self, u):
         """Return L @ u for a per-vertex scalar field or (n, k) stack."""
-        return self.matrix @ u
+        return _matvec(self, u)
 
 
 @dataclass(eq=False)
@@ -170,7 +212,7 @@ def _face_geometry(mesh, corners=None):
     double_area = np.sqrt(dot3(cross, cross))
     areas = 0.5 * double_area
     floor = mesh.area_floor()
-    if np.any(areas < floor):
+    if (areas < floor).any():
         worst = int(np.argmin(areas))
         raise DegenerateFaceError(
             "face %d has area %.3e below floor %.3e"
@@ -216,12 +258,12 @@ def lumped_mass(mesh, face_data=None):
     part[1] = shared + sq[1] * cot8[0]
     part[2] = sq[2] * cot8[1] + sq[1] * cot8[0]
     obtuse = dots < 0.0
-    any_obtuse = np.any(obtuse, axis=0)
-    if np.any(any_obtuse):
+    any_obtuse = obtuse.any(axis=0)
+    if any_obtuse.any():
         spread = np.broadcast_to(areas, part.shape)
         part[:, any_obtuse] = 0.25 * spread[:, any_obtuse]
         part[obtuse] = 0.5 * spread[obtuse]
-    return _connectivity(mesh).corner_sum @ part.reshape(-1)
+    return _matvec(_connectivity(mesh).corner_sum, part.reshape(-1))
 
 
 def vertex_normals(mesh, face_data=None):
@@ -233,9 +275,9 @@ def vertex_normals(mesh, face_data=None):
     face_sum = _connectivity(mesh).face_sum
     acc = np.empty((mesh.vertex_count, 3))
     for a in range(3):
-        acc[:, a] = face_sum @ weighted[a]
+        acc[:, a] = _matvec(face_sum, weighted[a])
     norms = np.sqrt(dot_rows(acc, acc))
-    if np.any(norms < 1e-14):
+    if (norms < 1e-14).any():
         bad = int(np.argmin(norms))
         raise ZeroNormalError(
             "vertex %d normal sum has magnitude %.3e" % (bad, norms[bad])
@@ -255,7 +297,9 @@ def gaussian_curvature(mesh, mass, face_data=None):
         face_data if face_data is not None else _face_geometry(mesh)
     )
     angles = np.arctan2(2.0 * areas, dots)
-    defect = 2.0 * np.pi - _connectivity(mesh).corner_sum @ angles.reshape(-1)
+    defect = 2.0 * np.pi - _matvec(
+        _connectivity(mesh).corner_sum, angles.reshape(-1)
+    )
     return defect / mass
 
 
@@ -287,6 +331,6 @@ def build_cache(mesh, corners=None):
         lap_H=laplacian.apply(H) / mass,
         face_areas=face_data[0],
         face_normals=face_data[1].T,
-        total_area=float(np.sum(face_data[0])),
+        total_area=float(face_data[0].sum()),
         h_min=float(np.sqrt(face_data[3].min())),
     )

@@ -18,11 +18,13 @@ import numpy as np
 
 from .ddg import build_cache
 from .errors import (
+    DegenerateFaceError,
     DissipationViolationError,
     NonFiniteError,
     ProjectionDivergedError,
     QualityCollapseError,
     StepUnderflowError,
+    ZeroNormalError,
 )
 from .functionals import lagrange_multiplier, signed_volume, wbar
 from .mesh import (
@@ -35,6 +37,13 @@ from .mesh import (
 from . import ddg
 
 MAX_HALVINGS = 20
+
+# failures of a trial's geometry that a smaller step can avoid: the step
+# rejects the trial and retries with half the step, as for an energy rise
+_TRIAL_FAILURES = (
+    NonFiniteError, ProjectionDivergedError, DegenerateFaceError,
+    ZeroNormalError,
+)
 
 
 @dataclass
@@ -128,7 +137,7 @@ def velocity(cache, lam):
         the caller must reject the step.
     """
     xi = -cache.lap_H - cache.tracefree_sq * cache.H + lam
-    if not np.all(np.isfinite(xi)):
+    if not np.isfinite(xi).all():
         raise NonFiniteError("velocity field contains non-finite entries")
     return xi
 
@@ -219,8 +228,8 @@ def _advance(state, cache, xi, dt, config):
     )
     trial_cache = build_cache(projected, corners=corners)
     if not (
-        np.all(np.isfinite(trial_cache.H))
-        and np.all(np.isfinite(trial_cache.lap_H))
+        np.isfinite(trial_cache.H).all()
+        and np.isfinite(trial_cache.lap_H).all()
     ):
         raise NonFiniteError("curvature blow-up after step")
     return projected, trial_cache, wbar(projected, trial_cache)
@@ -230,17 +239,18 @@ def step(state, config, dt_override=None, precomputed=None):
     """One accepted flow step; returns the successor state.
 
     The energy is not allowed to rise by more than
-    dissipation_tol * max(1, wbar): offending trials are retried with
-    half the step, up to 20 halvings.  ``precomputed`` lets the driver
-    hand over (lam, xi, max_speed, wbar) it already evaluated for its
-    stopping checks.
+    dissipation_tol * max(1, wbar): offending trials, and trials whose
+    geometry fails (``_TRIAL_FAILURES``), are retried with half the step,
+    up to 20 halvings.  With ``dt_override`` a failing trial raises at
+    once.  ``precomputed`` lets the driver hand over (lam, xi, max_speed,
+    wbar) it already evaluated for its stopping checks.
     """
     cache = state.cache if state.cache is not None else build_cache(state.mesh)
     total_area = cache.total_area
     if precomputed is None:
         lam = lagrange_multiplier(cache, total_area)
         xi = velocity(cache, lam)
-        max_speed = float(np.max(np.abs(xi)))
+        max_speed = float(np.abs(xi).max())
         wb = wbar(state.mesh, cache)
     else:
         lam, xi, max_speed, wb = precomputed
@@ -252,19 +262,26 @@ def step(state, config, dt_override=None, precomputed=None):
     halvings = 0
     wb_trial = math.nan
     while True:
+        failure = None
         try:
             mesh, trial_cache, wb_trial = _advance(state, cache, xi, dt, config)
             if wb_trial <= allowed:
                 break
-        except NonFiniteError:
+        except _TRIAL_FAILURES as exc:
             if dt_override is not None:
                 raise
             wb_trial = math.nan
+            failure = exc
         if halvings >= MAX_HALVINGS:
-            raise DissipationViolationError(
+            message = (
                 "energy still rising after %d halvings (wbar %.6e -> %.6e)"
                 % (halvings, wb, wb_trial)
             )
+            if failure is not None:
+                message += "; last trial failed with %s: %s" % (
+                    type(failure).__name__, failure
+                )
+            raise DissipationViolationError(message) from failure
         dt *= 0.5
         halvings += 1
 
@@ -439,7 +456,7 @@ def run(mesh, config, record_fn=None):
         cache = state.cache
         lam = lagrange_multiplier(cache, cache.total_area)
         xi = velocity(cache, lam)
-        max_speed = float(np.max(np.abs(xi)))
+        max_speed = float(np.abs(xi).max())
         wb = wbar(state.mesh, cache)
         stop = config.stop
         if stop.speed_tol > 0.0 and max_speed < stop.speed_tol:

@@ -50,27 +50,6 @@ def signed_volume(mesh):
     return tet_volume(gather_corners(mesh))
 
 
-def volume_gradient_normal(mesh, normals):
-    """Exact per-vertex derivative of ``signed_volume`` along the normals.
-
-    Entry i is d/dc V(f + c * e_i * nu_i) at c = 0; the corresponding vector
-    gradient at vertex i is minus one third of the area-weighted sum of the
-    incident face normals.
-    """
-    from .mesh import face_areas_normals
-
-    areas, fnormals = face_areas_normals(mesh)
-    weighted = areas[:, None] * fnormals
-    idx = mesh.faces.reshape(-1)
-    grad = np.empty((mesh.vertex_count, 3))
-    for k in range(3):
-        grad[:, k] = np.bincount(
-            idx, weights=np.repeat(weighted[:, k], 3),
-            minlength=mesh.vertex_count,
-        )
-    return -np.sum(grad * normals, axis=1) / 3.0
-
-
 def willmore(mesh, cache):
     """Quarter of the integrated squared mean curvature."""
     return 0.25 * float(np.sum(cache.H ** 2 * cache.mass))
@@ -78,7 +57,7 @@ def willmore(mesh, cache):
 
 def wbar(mesh, cache):
     """Integrated squared norm of the trace-free second fundamental form."""
-    return float(np.sum(cache.tracefree_sq * cache.mass))
+    return float((cache.tracefree_sq * cache.mass).sum())
 
 
 def scalar_willmore_gradient(cache):
@@ -93,9 +72,9 @@ def lagrange_multiplier(cache, total_area=None):
     computed from the pointwise cache fields every step.
     """
     if total_area is None:
-        total_area = float(np.sum(cache.mass))
+        total_area = float(cache.mass.sum())
     return float(
-        np.sum(cache.tracefree_sq * cache.H * cache.mass)
+        (cache.tracefree_sq * cache.H * cache.mass).sum()
     ) / total_area
 
 

@@ -174,7 +174,7 @@ def tet_volume(corners):
     The exact signed-tetrahedron sum, positive for inward orientation.
     """
     p0, p1, p2 = corners[:, 0], corners[:, 1], corners[:, 2]
-    return -float(np.sum(dot3(p0, cross3(p1, p2)))) / 6.0
+    return -float(dot3(p0, cross3(p1, p2)).sum()) / 6.0
 
 
 def face_edges(corners):

@@ -19,7 +19,6 @@ from vpwf.flow import run
 from vpwf.functionals import (
     lagrange_multiplier,
     signed_volume,
-    volume_gradient_normal,
     scalar_willmore_gradient,
     wbar,
     willmore,
@@ -29,7 +28,11 @@ from vpwf.mesh import TriMesh
 from vpwf.rescale import RescaleSpec, blowup_window, rescale_mesh, \
     rescale_trajectory
 
-from oracles import octahedron, random_smooth_normal_field
+from oracles import (
+    octahedron,
+    random_smooth_normal_field,
+    volume_gradient_normal,
+)
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from scipy import sparse
+
 from vpwf.ddg import (
     COT_HALF_WEIGHT_FLOOR,
     _connectivity,
     _face_geometry,
+    _matvec,
     build_cache,
     build_laplacian,
     gaussian_curvature,
@@ -265,6 +268,50 @@ class TestScatterOrder:
             np.concatenate([w, w, -w, -w]),
         )
         assert np.array_equal(cache.laplacian.matrix.toarray(), dense)
+
+    def test_kernel_matches_matmul(self, sphere3):
+        # the flow calls the CSR kernel directly; it must give what ``@``
+        # gives, bit for bit, for vectors and (n, 3) stacks
+        mesh, cache = sphere3
+        conn = _connectivity(mesh)
+        laplacian = cache.laplacian
+        for seed, (op, matrix) in enumerate([
+            (conn.assemble, conn.assemble),
+            (conn.corner_sum, conn.corner_sum),
+            (conn.face_sum, conn.face_sum),
+            (laplacian, laplacian.matrix),
+        ]):
+            cols = matrix.shape[1]
+            for shape in ((cols,), (cols, 3)):
+                x = self.spread_values(shape, 10 + seed)
+                got = _matvec(op, x)
+                assert got.shape == (matrix.shape[0],) + shape[1:]
+                assert np.array_equal(got, matrix @ x)
+        assert np.array_equal(
+            laplacian.apply(mesh.positions),
+            laplacian.matrix @ mesh.positions,
+        )
+        for bad in (np.ones(mesh.vertex_count - 1), np.ones((1, 3)),
+                    np.ones((mesh.vertex_count, 3, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                laplacian.apply(bad)
+
+    def test_build_cache_constructs_no_sparse_matrix(self, monkeypatch):
+        mesh = icosphere(2)
+        build_cache(mesh)  # builds the connectivity and its matrices
+        moved = mesh.with_positions(1.1 * mesh.positions)
+        built = []
+        init = sparse.csr_matrix.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sparse.csr_matrix, "__init__", counting_init)
+        build_cache(moved)
+        assert built == []
+        sparse.csr_matrix(np.eye(2))
+        assert built == [1]
 
 
 def test_build_cache_refuses_degenerate_face():

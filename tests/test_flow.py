@@ -22,7 +22,7 @@ from vpwf.flow import (
     volume_project,
 )
 from vpwf.functionals import lagrange_multiplier, signed_volume, wbar
-from vpwf.generators import ellipsoid, icosphere, torus
+from vpwf.generators import ellipsoid, icosphere, perturbed_sphere, torus
 from vpwf.mesh import TriMesh, validate
 
 
@@ -194,6 +194,43 @@ class TestStep:
         assert caught
         # the accepted state never carries an undetected energy blow-up
         assert np.isfinite(wbar(state.mesh, state.cache))
+
+    @pytest.mark.parametrize("amplitude, dt", [(0.3, 0.1), (0.08, 0.3)])
+    def test_trial_geometry_failure_is_rejected(
+        self, monkeypatch, amplitude, dt
+    ):
+        # a step this large moves the volume past what the projection
+        # bridges; the trial must be halved like an energy rise, not abort
+        from vpwf import flow
+
+        mesh = perturbed_sphere(2, 1.0, 3, 2, amplitude)
+        state = initial_state(mesh, build_cache(mesh))
+        config = FlowConfig()
+        with pytest.raises(ProjectionDivergedError):
+            step(state, config, dt_override=dt)
+        monkeypatch.setattr(flow, "choose_dt", lambda *args, **kw: dt)
+        after = step(state, config)
+        assert after.last_halvings >= 1
+        assert after.last_dt == dt * 0.5 ** after.last_halvings
+        target = state.target_volume
+        assert abs(signed_volume(after.mesh) - target) <= 1e-10 * target
+        before = wbar(mesh, state.cache)
+        assert wbar(after.mesh, after.cache) <= before + 1e-6 * max(1.0, before)
+
+    def test_persistent_trial_failure_names_its_cause(self, monkeypatch):
+        from vpwf import flow
+
+        def diverge(*args, **kwargs):
+            raise ProjectionDivergedError("stub divergence")
+
+        mesh = icosphere(2)
+        state = initial_state(mesh, build_cache(mesh))
+        monkeypatch.setattr(flow, "_volume_project_impl", diverge)
+        with pytest.raises(
+            DissipationViolationError,
+            match="after 20 halvings.*ProjectionDivergedError: stub divergence",
+        ):
+            step(state, FlowConfig())
 
     def test_accumulators_nondecreasing(self):
         mesh = ellipsoid(1.2, 1.0, 0.85, 2)

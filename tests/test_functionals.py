@@ -10,7 +10,6 @@ from vpwf.functionals import (
     scale_defect,
     signed_volume,
     translation_defect,
-    volume_gradient_normal,
     wbar,
     willmore,
 )
@@ -21,6 +20,7 @@ from oracles import (
     ellipsoid_quadrature,
     octahedron,
     random_smooth_normal_field,
+    volume_gradient_normal,
 )
 
 
