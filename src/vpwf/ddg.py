@@ -14,13 +14,22 @@ Conventions, anchored by the round sphere with inward normal:
 The flow rebuilds the operator every step but connectivity almost never
 changes, so the sparsity pattern and all index arrays are derived once per
 faces array and only the cotangent data is refreshed.
+
+Every sparse product runs scipy's compiled CSR kernel, ``_sparsetools``,
+on plain CSR arrays (:class:`CSR`).  The kernel is loaded from its own
+file rather than imported as ``scipy.sparse._sparsetools``: importing
+``scipy.sparse`` would run scipy's package init, whose array-API layer
+pulls in ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` and so costs
+most of a command's cold start, while the kernel alone loads in about a
+millisecond.  The extension has no Python dependencies besides numpy.
 """
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
 from .errors import DegenerateFaceError, ZeroNormalError
 from .mesh import cross3, dot3, dot_rows, face_edges, gather_corners
@@ -30,14 +39,58 @@ from .mesh import cross3, dot3, dot_rows, face_edges, gather_corners
 COT_HALF_WEIGHT_FLOOR = -10.0
 
 
+def _load_sparsetools():
+    """scipy's compiled CSR kernel module, loaded from its file.
+
+    ``find_spec`` locates the scipy package without running its init; the
+    module is loaded under a private name so that it never stands in for
+    ``scipy.sparse._sparsetools`` in ``sys.modules``.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    path = os.path.join(
+        scipy_spec.submodule_search_locations[0], "sparse",
+        "_sparsetools" + importlib.machinery.EXTENSION_SUFFIXES[0],
+    )
+    if not os.path.isfile(path):
+        raise ImportError("scipy's CSR kernel not found at %s" % path)
+    # the extension's init function is found by the name's last component
+    name = __name__ + "._sparsetools"
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(name, loader)
+    )
+    loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A sparse matrix as plain CSR arrays, the operand of :func:`_matvec`.
+
+    ``data``/``indices``/``indptr`` are scipy's CSR layout with int32
+    indices; ``shape`` is (rows, cols).
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
 def _matvec(a, x):
     """``a @ x`` for a CSR matrix ``a`` and a vector or (n, k) stack ``x``.
 
     ``a`` is anything with CSR ``indptr``/``indices``/``data`` and a
-    ``shape``.  This runs the compiled kernel that ``@`` ends up in, on the
-    same arrays and into the same zeroed output, so every sum keeps its
-    order and its rounding.  It skips scipy's dispatch around the kernel,
-    which costs more than the product itself on meshes of a few thousand
+    ``shape`` (a :class:`CSR` or a :class:`LaplaceOperator`).  This runs the
+    compiled kernel that ``scipy.sparse``'s ``@`` ends up in, on the same
+    arrays and into the same zeroed output, so every sum keeps its order
+    and its rounding.  It skips scipy's dispatch around the kernel, which
+    costs more than the product itself on meshes of a few thousand
     vertices.
     """
     rows, cols = a.shape
@@ -64,7 +117,7 @@ def _matvec(a, x):
 
 
 def _summation_matrix(rows, cols, shape, values=None):
-    """Sparse matrix whose product adds ``values`` up by ``rows``.
+    """:class:`CSR` matrix whose product adds ``values`` up by ``rows``.
 
     Each row keeps its entries in input order, so ``M @ x`` sums in exactly
     the order (and with exactly the rounding) of the equivalent
@@ -74,9 +127,7 @@ def _summation_matrix(rows, cols, shape, values=None):
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     data = np.ones(rows.size) if values is None else values[order]
-    return sparse.csr_matrix(
-        (data, cols[order].astype(np.int32), indptr), shape=shape
-    )
+    return CSR(data, cols[order].astype(np.int32), indptr, shape)
 
 
 class _Connectivity:
@@ -153,14 +204,6 @@ class LaplaceOperator:
         self.indices = conn.indices
         self.indptr = conn.indptr
         self.data = _matvec(conn.assemble, weights.reshape(-1))
-
-    @property
-    def matrix(self):
-        """The operator as a ``scipy.sparse.csr_matrix`` (built per call)."""
-        return sparse.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=self.shape,
-            copy=False,
-        )
 
     def apply(self, u):
         """Return L @ u for a per-vertex scalar field or (n, k) stack."""

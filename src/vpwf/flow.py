@@ -106,6 +106,8 @@ class FlowState:
     last_dt: float = 0.0
     last_halvings: int = 0
     cache: object = field(default=None, repr=False, compare=False)
+    # wbar of ``cache``, carried from the step that built it
+    cache_wbar: float = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -297,6 +299,7 @@ def step(state, config, dt_override=None, precomputed=None):
         last_dt=dt,
         last_halvings=halvings,
         cache=trial_cache,
+        cache_wbar=wb_trial,
     )
 
     if (
@@ -310,13 +313,15 @@ def step(state, config, dt_override=None, precomputed=None):
             improved, normals, state.target_volume, config.projection_tol
         )
         improved_cache = build_cache(improved)
+        wb_improved = wbar(improved, improved_cache)
         # mesh maintenance must not break the monotone-energy contract;
         # an energy-raising pass is skipped rather than applied
-        if wbar(improved, improved_cache) <= wb_trial + config.dissipation_tol * max(
+        if wb_improved <= wb_trial + config.dissipation_tol * max(
             1.0, wb_trial
         ):
             new_state = replace(
-                new_state, mesh=improved, cache=improved_cache
+                new_state, mesh=improved, cache=improved_cache,
+                cache_wbar=wb_improved,
             )
 
     return new_state
@@ -457,7 +462,9 @@ def run(mesh, config, record_fn=None):
         lam = lagrange_multiplier(cache, cache.total_area)
         xi = velocity(cache, lam)
         max_speed = float(np.abs(xi).max())
-        wb = wbar(state.mesh, cache)
+        wb = state.cache_wbar
+        if wb is None:
+            wb = wbar(state.mesh, cache)
         stop = config.stop
         if stop.speed_tol > 0.0 and max_speed < stop.speed_tol:
             traj.stop_reason = "speed_tol"

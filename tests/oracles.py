@@ -8,6 +8,7 @@ curvatures, H = +2/r on the unit sphere).
 """
 
 import numpy as np
+from scipy import sparse
 
 
 def sphere_values(radius=1.0):
@@ -189,6 +190,18 @@ def volume_gradient_normal(mesh, normals):
             minlength=mesh.vertex_count,
         )
     return -np.sum(grad * normals, axis=1) / 3.0
+
+
+def csr_matrix(record):
+    """``scipy.sparse.csr_matrix`` on the arrays of a ddg CSR record.
+
+    ``record`` is a ``LaplaceOperator`` or one of the connectivity's
+    summation matrices; the matrix shares its arrays.
+    """
+    return sparse.csr_matrix(
+        (record.data, record.indices, record.indptr), shape=record.shape,
+        copy=False,
+    )
 
 
 def laplacian_of_scalar(laplacian, mass, u):

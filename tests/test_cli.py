@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vpwf
 from vpwf.cli import _apply_config_file, build_parser, main
 from vpwf.fileio import read_obj, read_trajectory_csv
 from vpwf.mesh import validate
@@ -36,6 +42,30 @@ def test_simulate_zero_steps_single_row(tmp_path):
     records, _, _ = read_trajectory_csv(csv)
     assert len(records) == 1
     assert records[0].t == 0.0
+
+
+def test_simulate_imports_no_scipy_sparse(tmp_path):
+    # a command's cold start loads scipy's CSR kernel on its own; the
+    # scipy.sparse package drags numpy.f2py, numpy.testing and numpy.ma in
+    script = """
+import sys
+from vpwf.cli import main
+code = main(["simulate", "--shape", "icosphere", "--level", "1",
+             "--max-steps", "2", "--csv", "t.csv", "--final-obj", "f.obj",
+             "--snapshot-prefix", "snap"])
+heavy = ("scipy.sparse", "numpy.f2py", "numpy.testing", "numpy.ma")
+print(code, sorted(m for m in sys.modules
+                   if m in heavy or m.startswith(tuple(h + "." for h in heavy))))
+"""
+    src = str(Path(vpwf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "t.csv").exists() and (tmp_path / "f.obj").exists()
 
 
 def test_simulate_missing_input_exit_3(tmp_path):

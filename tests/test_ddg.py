@@ -1,7 +1,8 @@
+import os
+import re
+
 import numpy as np
 import pytest
-
-from scipy import sparse
 
 from vpwf.ddg import (
     COT_HALF_WEIGHT_FLOOR,
@@ -16,11 +17,13 @@ from vpwf.ddg import (
     tracefree_sq,
     vertex_normals,
 )
+from vpwf import ddg
 from vpwf.errors import DegenerateFaceError, ZeroNormalError
 from vpwf.generators import icosphere, torus
 from vpwf.mesh import TriMesh
 
 from oracles import (
+    csr_matrix,
     laplacian_of_scalar,
     octahedron,
     sphere_values,
@@ -182,7 +185,7 @@ class TestCurvatures:
 class TestLaplaceOperator:
     def test_symmetry_exact(self, sphere3):
         _, cache = sphere3
-        L = cache.laplacian.matrix
+        L = csr_matrix(cache.laplacian)
         assert abs(L - L.T).max() == 0.0
 
     def test_zero_row_sums(self, sphere3):
@@ -244,12 +247,12 @@ class TestScatterOrder:
         n, m = mesh.vertex_count, mesh.face_count
         per_corner = self.spread_values((3, m), 1)
         assert np.array_equal(
-            conn.corner_sum @ per_corner.reshape(-1),
+            csr_matrix(conn.corner_sum) @ per_corner.reshape(-1),
             np.bincount(flat, weights=per_corner.T.reshape(-1), minlength=n),
         )
         per_face = self.spread_values(m, 2)
         assert np.array_equal(
-            conn.face_sum @ per_face,
+            csr_matrix(conn.face_sum) @ per_face,
             np.bincount(flat, weights=np.repeat(per_face, 3), minlength=n),
         )
 
@@ -267,7 +270,7 @@ class TestScatterOrder:
             (np.concatenate([a, b, a, b]), np.concatenate([b, a, a, b])),
             np.concatenate([w, w, -w, -w]),
         )
-        assert np.array_equal(cache.laplacian.matrix.toarray(), dense)
+        assert np.array_equal(csr_matrix(cache.laplacian).toarray(), dense)
 
     def test_kernel_matches_matmul(self, sphere3):
         # the flow calls the CSR kernel directly; it must give what ``@``
@@ -275,12 +278,10 @@ class TestScatterOrder:
         mesh, cache = sphere3
         conn = _connectivity(mesh)
         laplacian = cache.laplacian
-        for seed, (op, matrix) in enumerate([
-            (conn.assemble, conn.assemble),
-            (conn.corner_sum, conn.corner_sum),
-            (conn.face_sum, conn.face_sum),
-            (laplacian, laplacian.matrix),
+        for seed, op in enumerate([
+            conn.assemble, conn.corner_sum, conn.face_sum, laplacian,
         ]):
+            matrix = csr_matrix(op)
             cols = matrix.shape[1]
             for shape in ((cols,), (cols, 3)):
                 x = self.spread_values(shape, 10 + seed)
@@ -289,29 +290,18 @@ class TestScatterOrder:
                 assert np.array_equal(got, matrix @ x)
         assert np.array_equal(
             laplacian.apply(mesh.positions),
-            laplacian.matrix @ mesh.positions,
+            csr_matrix(laplacian) @ mesh.positions,
         )
         for bad in (np.ones(mesh.vertex_count - 1), np.ones((1, 3)),
                     np.ones((mesh.vertex_count, 3, 1)), np.float64(1.0)):
             with pytest.raises(ValueError):
                 laplacian.apply(bad)
 
-    def test_build_cache_constructs_no_sparse_matrix(self, monkeypatch):
-        mesh = icosphere(2)
-        build_cache(mesh)  # builds the connectivity and its matrices
-        moved = mesh.with_positions(1.1 * mesh.positions)
-        built = []
-        init = sparse.csr_matrix.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(sparse.csr_matrix, "__init__", counting_init)
-        build_cache(moved)
-        assert built == []
-        sparse.csr_matrix(np.eye(2))
-        assert built == [1]
+    def test_missing_kernel_names_its_path(self, monkeypatch):
+        monkeypatch.setattr(ddg.os.path, "isfile", lambda path: False)
+        searched = os.path.join("scipy", "sparse", "_sparsetools")
+        with pytest.raises(ImportError, match=re.escape(searched)):
+            ddg._load_sparsetools()
 
 
 def test_build_cache_refuses_degenerate_face():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vpwf.ddg import build_cache
 from vpwf.diagnostics import record
@@ -25,6 +28,27 @@ class TestObj:
         back = read_obj(path)
         assert np.array_equal(back.positions, mesh.positions)
         assert np.array_equal(back.faces, mesh.faces)
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n=st.integers(1, 12), m=st.integers(1, 12))
+    def test_round_trip_property(self, tmp_path, data, n, m):
+        # any finite float64, signed zeros and subnormals included, comes
+        # back bit for bit; faces come back verbatim, in order
+        finite = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+                             -1.5e-310, 1.7976931348623157e308]),
+        )
+        positions = data.draw(arrays(np.float64, (n, 3), elements=finite))
+        faces = data.draw(arrays(np.int64, (m, 3),
+                                 elements=st.integers(0, n - 1)))
+        path = tmp_path / "property.obj"
+        write_obj(TriMesh(positions, faces), path)
+        back = read_obj(path)
+        assert np.array_equal(back.positions.view(np.int64),
+                              positions.view(np.int64))
+        assert np.array_equal(back.faces, faces)
 
     def test_awkward_floats_survive(self, tmp_path):
         positions = np.array([

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpwf.ddg import build_cache, vertex_normals
 from vpwf.errors import (
@@ -24,6 +26,8 @@ from vpwf.flow import (
 from vpwf.functionals import lagrange_multiplier, signed_volume, wbar
 from vpwf.generators import ellipsoid, icosphere, perturbed_sphere, torus
 from vpwf.mesh import TriMesh, validate
+
+from oracles import random_smooth_normal_field
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +134,28 @@ class TestVolumeProject:
         moved = np.linalg.norm(projected.positions - inflated.positions,
                                axis=1)
         assert np.max(moved) == pytest.approx(0.01, rel=0.2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        level=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        amplitude=st.floats(-0.1, 0.1),
+        tol=st.sampled_from([1e-8, FlowConfig().projection_tol, 1e-12]),
+    )
+    def test_smooth_offsets_hit_target(self, level, seed, amplitude, tol):
+        mesh = icosphere(level)
+        target = signed_volume(mesh)
+        cache = build_cache(mesh)
+        phi = random_smooth_normal_field(
+            mesh.positions, np.random.default_rng(seed)
+        )
+        offset = TriMesh(
+            mesh.positions + amplitude * phi[:, None] * cache.normals,
+            mesh.faces,
+        )
+        projected = volume_project(offset, vertex_normals(offset), target,
+                                   tol)
+        assert abs(signed_volume(projected) - target) <= tol * abs(target)
 
     def test_rejects_large_errors(self, sphere3):
         mesh, cache = sphere3
