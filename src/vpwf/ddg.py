@@ -224,6 +224,7 @@ class GeometryCache:
     lap_H: np.ndarray           # mass-normalized Laplacian of H
     face_areas: np.ndarray = field(repr=False, default=None)
     face_normals: np.ndarray = field(repr=False, default=None)
+    face_sq: np.ndarray = field(repr=False, default=None)  # (3, m) edges^2
     total_area: float = 0.0
     h_min: float = 0.0          # shortest edge length
 
@@ -374,6 +375,7 @@ def build_cache(mesh, corners=None):
         lap_H=laplacian.apply(H) / mass,
         face_areas=face_data[0],
         face_normals=face_data[1].T,
+        face_sq=face_data[3],
         total_area=float(face_data[0].sum()),
         h_min=float(np.sqrt(face_data[3].min())),
     )

@@ -8,16 +8,21 @@ understates the true supremum over all of space by at most a covering
 factor, and the error vanishes under refinement.
 
 One membership rule holds for every ball: vertex j lies in the open ball
-of radius r around vertex i when ``sum((p_i - p_j)**2) < r*r``, evaluated
-on direct float64 differences.  The diameter is the largest such direct
-distance, so it is exact.  :func:`record`, :func:`concentration_profile`
-and :func:`diameter` share one pair scan that keeps no n x n array: it
-assembles the pair matrix in row blocks of at most ``_BLOCK_BYTES``
-(512 KiB of float64, a quarter of a 2 MiB L2 cache, so a block and its
-mask stay in cache), uses those products only as bounds and recomputes
-every returned value by the direct rule.
+of radius r around vertex i when ``(dx^2 + dy^2) + dz^2 < r*r``, evaluated
+on direct float64 differences (:func:`_direct_sq`).  The diameter is the
+largest such direct distance, so it is exact.  :func:`record`,
+:func:`concentration_profile` and :func:`diameter` share one pair scan that
+keeps no n x n array: it assembles the pair matrix in float32 row blocks
+whose float64 masks take at most ``_BLOCK_BYTES`` (512 KiB, so a block and
+its mask stay in a 2 MiB L2 cache) and uses those products only as bounds.  The rounding band
+of the bounds is derived in :func:`_pair_scan`: about 27 float32 unit
+roundoffs of the squared extent for an entry, plus the float32 rounding of
+the thresholds, held with a 16-fold margin.  Every returned value is then
+recomputed by the direct rule, so float32 changes the cost of a scan and
+never its answer.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +37,13 @@ from .functionals import (
     wbar,
     willmore,
 )
-from .mesh import bounding_box_extent, face_quality
+from .mesh import bounding_box_extent, shape_quality
 
 LI_YAU_THRESHOLD = 8.0 * np.pi
 
-# bytes of one float64 block of the pair matrix; a block has as many rows
-# as fit, so the block and its mask together fill half of a 2 MiB L2 cache
+# bytes of the float64 mask of one block of the pair matrix; a block has as
+# many rows as fit, and with its float32 products it fills 3/8 of a 2 MiB
+# L2 cache (larger and smaller blocks both measured slower)
 _BLOCK_BYTES = 1 << 19
 
 
@@ -64,69 +70,120 @@ class DiagnosticsRecord:
     li_yau: bool
 
 
+def _direct_sq(a, b):
+    """The direct rule: squared distances of (3, k) columns, broadcast.
+
+    ``(dx^2 + dy^2) + dz^2`` on float64 differences, the order of
+    ``np.sum((p - p[i])**2, axis=1)``; every returned diameter and ball
+    content is evaluated by this one function.
+    """
+    d = a - b
+    d *= d
+    return (d[0] + d[1]) + d[2]
+
+
 def _pair_scan(p, weights=None, radii=()):
     """Exact diameter and the heaviest vertex-centred ball at each radius.
 
     Each pair is visited once: rows lo:hi against columns lo: form one
-    block, one matrix product on centred augmented coordinates
-    ``[q, |q|^2, 1]`` and ``[-2q, 1, |q|^2]``.  The blocks only bound the
-    answer.  The diameter is the largest direct distance among the pairs
-    within twice the rounding band of the running block maximum.  Each
-    live radius gets an upper bound of every centre's content (threshold
-    r^2 plus the band, which needs ``weights >= 0``); centres are then
-    recomputed by the direct rule in decreasing bound order until the
-    bound plus a summation slack falls below the best exact content.  A
-    ball that holds every vertex gives the total at centre 0.
+    float32 block, one matrix product on the centred augmented coordinates
+    ``[q, |q|^2, 1]`` and ``[-2q, 1, |q|^2]``, which ``unit`` (a power of
+    two, so exactly) scales to a largest ``|q|^2`` of s in [1/2, 2).  The
+    blocks only bound the answer.  The diameter is the largest direct
+    distance among the pairs within twice the rounding band of the running
+    block maximum.  Each live radius gets an upper bound of every centre's
+    content (float32 threshold r^2 plus the band, float64 masks and sums,
+    which needs ``weights >= 0``); centres are then recomputed by the
+    direct rule in decreasing bound order until the bound plus a summation
+    slack falls below the best exact content.  A ball that holds every
+    vertex gives the total at centre 0.
+
+    The band.  With u = 2^-24 the unit roundoff of float32, a block entry
+    e and the scaled direct value D of the same pair differ by at most
+    27 u s:
+
+    * rounding q to float32 moves each coordinate by at most u |q| (the
+      scaling keeps every entry far from float32 overflow, and underflow
+      costs at most 2^-149), so the cross term 2 q_i.q_j by at most
+      4.0001 u s, and rounding the two float64 |q|^2 moves them by at most
+      u s each: 6.0001 u s;
+    * the 5-term product, in any order and with or without FMA, errs by at
+      most gamma_5 = 5u / (1 - 5u) times the sum of the terms' magnitudes,
+      2 |q_i||q_j| + |q_i|^2 + |q_j|^2 <= 4.0001 s: 20.001 u s;
+    * the float64 centring and the direct rule itself add below
+      10 eps64 s, under u s.
+
+    The thresholds r^2 + band and top - 2 band are rounded to the nearest
+    float32, which moves them by at most u (4 s + 3 band), under 5 u s for
+    the live radii (r^2 <= 4 s + band) and for any top (<= 4 s + 27 u s).
+    So a pair inside a ball (D < r^2) has e < r^2 + 27 u s, below its
+    rounded threshold whenever band >= 32 u s; and the farthest pair has
+    e >= top - 54 u s, at least the rounded top - 2 band whenever
+    2 band >= 59 u s.  The band 256 eps32 s = 512 u s holds both with a
+    16-fold margin.  The masks, the sums that credit them and the slack
+    stay float64.
 
     Returns (diam, values, centres): the exact maximum and its first
     maximizing vertex per radius.
     """
     n = p.shape[0]
     radii_sq = [float(r) * float(r) for r in radii]
-    q = p - p.mean(axis=0)
-    sq = np.einsum("ij,ij->i", q, q)
-    # bounds the gap between a block entry and the direct difference: the
-    # rounding of the centring, of the 5-term product and of the direct sum
-    # adds up to about 25 eps * scale, so this leaves a tenfold margin
+    # every direct difference runs on one contiguous component-first copy
+    pt = np.ascontiguousarray(p.T)
+    qt = pt - pt.mean(axis=1, keepdims=True)
+    sq = _direct_sq(qt, 0.0)
     scale = float(sq.max())
-    band = 256.0 * np.finfo(np.float64).eps * scale
+    unit = math.ldexp(1.0, -(math.frexp(scale)[1] // 2))
+    unit_sq = unit * unit
+    s = scale * unit_sq
+    band = 256.0 * float(np.finfo(np.float32).eps) * s
     exact_rows = {}
 
     def exact_sq(i):
         if i not in exact_rows:
-            exact_rows[i] = np.sum((p - p[i]) ** 2, axis=1)
+            exact_rows[i] = _direct_sq(pt, pt[:, i, None])
         return exact_rows[i]
 
     # no pair is farther apart than twice the largest centroid distance
     live = [k for k, r_sq in enumerate(radii_sq)
-            if r_sq <= 4.0 * scale + band]
-    ones = np.ones(n)
-    left = np.column_stack([q, sq, ones])
-    right_t = np.ascontiguousarray(np.column_stack([-2.0 * q, ones, sq]).T)
-    buffers = np.empty((2, max(_BLOCK_BYTES // 8, n)))
+            if r_sq * unit_sq <= 4.0 * s + band]
+    thresholds = [np.float32(radii_sq[k] * unit_sq + band) for k in live]
+    # rows [q, |q|^2, 1] times columns [-2q, 1, |q|^2], scaled by unit
+    left = np.empty((n, 5), dtype=np.float32)
+    left[:, :3] = (unit * qt).T
+    left[:, 3] = unit_sq * sq
+    left[:, 4] = 1.0
+    right_t = np.empty((5, n), dtype=np.float32)
+    right_t[:3] = (-2.0 * unit) * qt
+    right_t[3] = 1.0
+    right_t[4] = left[:, 3]
+    entries = max(_BLOCK_BYTES // 8, n)
+    d2_buffer = np.empty(entries, dtype=np.float32)
+    inside_buffer = np.empty(entries)
     upper = np.zeros((len(live), n))
     top, near = -np.inf, []
     # each pair once: rows lo:hi against columns lo:, credited to both ends
     lo = 0
     while lo < n:
         width = n - lo
-        hi = min(n, lo + max(1, _BLOCK_BYTES // (8 * width)))
-        d2, inside = (b[:(hi - lo) * width].reshape(hi - lo, width)
-                      for b in buffers)
+        hi = min(n, lo + max(1, entries // width))
+        size = (hi - lo) * width
+        d2 = d2_buffer[:size].reshape(hi - lo, width)
+        inside = inside_buffer[:size].reshape(d2.shape)
         np.matmul(left[lo:hi], right_t[:, lo:], out=d2)
         block_top = float(d2.max())
         if block_top >= top - 2.0 * band:
             top = max(top, block_top)
-            rows, cols = np.divmod(np.flatnonzero(d2 >= top - 2.0 * band),
-                                   width)
+            rows, cols = np.divmod(
+                np.flatnonzero(d2 >= np.float32(top - 2.0 * band)), width)
             near.append((rows + lo, cols + lo))
-        for slot, k in enumerate(live):
-            np.less(d2, radii_sq[k] + band, out=inside)
+        for slot, threshold in enumerate(thresholds):
+            np.less(d2, threshold, out=inside)
             upper[slot, lo:hi] += inside @ weights[lo:]
             upper[slot, hi:] += weights[lo:hi] @ inside[:, hi - lo:]
         lo = hi
     i, j = (np.concatenate(ends) for ends in zip(*near))
-    diam_sq = float(np.max(np.sum((p[i] - p[j]) ** 2, axis=1)))
+    diam_sq = float(np.max(_direct_sq(pt[:, i], pt[:, j])))
 
     # covers the rounding of the bound's and the direct rule's sums
     slack = 0.0 if weights is None else (
@@ -338,6 +395,9 @@ def record(state, cache, config):
     The diameter and every ``kappa`` column come from one pair scan: the
     diameter is exact and ``kappa[r]`` equals ``concentration(mesh, cache,
     r)`` bit for bit, by the direct rule ``sum((p_i - p_j)**2) < r*r``.
+    ``min_face_quality`` uses the cache's face areas, which cross e01 with
+    e12, so it may differ from :func:`~vpwf.mesh.face_quality` in the last
+    bits.
     """
     mesh = state.mesh
     area = cache.total_area
@@ -367,6 +427,7 @@ def record(state, cache, config):
         kappa=kappa,
         scale_defect=scale_defect(mesh, cache),
         translation_defect=translation_defect(cache),
-        min_face_quality=float(np.min(face_quality(mesh))),
+        min_face_quality=float(
+            np.min(shape_quality(cache.face_areas, cache.face_sq))),
         li_yau=bool(w < LI_YAU_THRESHOLD),
     )

@@ -161,12 +161,18 @@ def choose_dt(state, cache, config, max_speed=None):
     return dt
 
 
-def _volume_project_impl(mesh, normals, target_volume, tol, max_iterations,
-                         area_hint):
-    """Projection core; also returns the projected mesh's gathered corners.
+def volume_project(mesh, normals, target_volume, tol, max_iterations=50,
+                   area_hint=None):
+    """Move vertices along ``normals`` so the signed volume hits the target.
 
-    The corners come in the :func:`~vpwf.mesh.gather_corners` layout, ready
-    for :func:`~vpwf.ddg.build_cache`.
+    Newton iteration on c -> V(f + c*nu) with the first-variation derivative
+    dV/dc = -A, safeguarded by a residual-decrease check.  The projection is
+    a small correction: it refuses to bridge volume errors of 50% or more.
+    ``area_hint`` is the total area of ``mesh`` when the caller knows it.
+
+    Returns (projected mesh, its corners), the corners in the
+    :func:`~vpwf.mesh.gather_corners` layout, ready for
+    :func:`~vpwf.ddg.build_cache`.
     """
     corners = gather_corners(mesh)
     v = tet_volume(corners)
@@ -205,28 +211,14 @@ def _volume_project_impl(mesh, normals, target_volume, tol, max_iterations,
     )
 
 
-def volume_project(mesh, normals, target_volume, tol, max_iterations=50,
-                   area_hint=None):
-    """Move vertices along ``normals`` so the signed volume hits the target.
-
-    Newton iteration on c -> V(f + c*nu) with the first-variation derivative
-    dV/dc = -A, safeguarded by a residual-decrease check.  The projection is
-    a small correction: it refuses to bridge volume errors of 50% or more.
-    """
-    out, _ = _volume_project_impl(
-        mesh, normals, target_volume, tol, max_iterations, area_hint
-    )
-    return out
-
-
 def _advance(state, cache, xi, dt, config):
     """Move, project, rebuild geometry; returns (mesh, cache, wbar)."""
     moved = state.mesh.with_positions(
         state.mesh.positions + dt * xi[:, None] * cache.normals
     )
-    projected, corners = _volume_project_impl(
+    projected, corners = volume_project(
         moved, cache.normals, state.target_volume, config.projection_tol,
-        50, cache.total_area,
+        area_hint=cache.total_area,
     )
     trial_cache = build_cache(projected, corners=corners)
     if not (
@@ -309,10 +301,10 @@ def step(state, config, dt_override=None, precomputed=None):
     ):
         improved = quality_pass(new_state.mesh, config)
         normals = ddg.vertex_normals(improved)
-        improved = volume_project(
+        improved, corners = volume_project(
             improved, normals, state.target_volume, config.projection_tol
         )
-        improved_cache = build_cache(improved)
+        improved_cache = build_cache(improved, corners=corners)
         wb_improved = wbar(improved, improved_cache)
         # mesh maintenance must not break the monotone-energy contract;
         # an energy-raising pass is skipped rather than applied

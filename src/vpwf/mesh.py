@@ -227,8 +227,12 @@ def face_quality(mesh):
     """
     edges = face_edges(gather_corners(mesh))
     areas, _ = face_areas_normals(mesh, check=False)
-    ssq = dot3(edges, edges).sum(axis=0)
-    return 4.0 * np.sqrt(3.0) * areas / ssq
+    return shape_quality(areas, dot3(edges, edges))
+
+
+def shape_quality(areas, sq):
+    """:func:`face_quality` from face areas and (3, m) squared edge lengths."""
+    return 4.0 * np.sqrt(3.0) * areas / sq.sum(axis=0)
 
 
 def validate(mesh):

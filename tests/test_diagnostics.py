@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vpwf.ddg import build_cache
 from vpwf.diagnostics import (
+    _direct_sq,
     area_ratio,
     concentration,
     concentration_profile,
@@ -342,6 +343,49 @@ class TestPairScanProperties:
         assert row.diameter == diameter(mesh)
         for r in radii:
             assert row.kappa[r] == concentration(mesh, cache, r)[0]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 120),
+        seed=st.integers(0, 2 ** 32 - 1),
+        offset=st.floats(-1e6, 1e6),
+        spread=st.sampled_from([1e-6, 1e-4, 1e-2, 1.0]),
+        fractions=st.lists(st.floats(1e-3, 1.2), min_size=1, max_size=3),
+    )
+    def test_far_offset_clouds(self, n, seed, offset, spread, fractions):
+        # the float32 blocks see only the centred coordinates; a cloud far
+        # from the origin must still come out exact
+        rng = np.random.default_rng(seed)
+        points = offset + spread * rng.normal(size=(n, 3))
+        weights = rng.uniform(0.1, 1.0, size=n)
+        diam = brute_force_diameter(points)
+        radii = [max(f * diam, 1e-9 * spread) for f in fractions]
+        _assert_scan_exact(points, weights, radii)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2 ** 32 - 1),
+        offset=st.floats(-1e6, 1e6),
+        spread=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]),
+    )
+    def test_direct_rows_match_row_sums(self, n, seed, offset, spread):
+        # the component-first rule sums (dx^2 + dy^2) + dz^2 in the order
+        # of np.sum over the last axis of (n, 3) differences
+        rng = np.random.default_rng(seed)
+        p = offset + spread * rng.normal(size=(n, 3))
+        pt = np.ascontiguousarray(p.T)
+        for i in rng.integers(n, size=min(n, 5)):
+            assert np.array_equal(_direct_sq(pt, pt[:, i, None]),
+                                  np.sum((p - p[i]) ** 2, axis=1))
+        i, j = rng.integers(n, size=(2, 3 * n))
+        assert np.array_equal(_direct_sq(pt[:, i], pt[:, j]),
+                              np.sum((p[i] - p[j]) ** 2, axis=1))
+
+    def test_level5_sphere(self, sphere5):
+        mesh, cache = sphere5
+        moved = random_rigid_motion(mesh.positions, 5)
+        _assert_scan_exact(moved, cache.abs_A_sq * cache.mass, [0.7])
 
     def test_rounding_scale_balls(self):
         # balls as small as the rounding of the block products: membership

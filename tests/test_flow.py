@@ -120,7 +120,8 @@ class TestChooseDt:
 class TestVolumeProject:
     def test_already_at_target_is_identity(self, sphere3):
         mesh, cache = sphere3
-        out = volume_project(mesh, cache.normals, signed_volume(mesh), 1e-10)
+        out, _ = volume_project(mesh, cache.normals, signed_volume(mesh),
+                                1e-10)
         assert out is mesh
 
     def test_inflated_sphere_projects_back(self, sphere3):
@@ -128,7 +129,7 @@ class TestVolumeProject:
         target = signed_volume(mesh)
         inflated = TriMesh(1.01 * mesh.positions, mesh.faces)
         normals = vertex_normals(inflated)
-        projected = volume_project(inflated, normals, target, 1e-10)
+        projected, _ = volume_project(inflated, normals, target, 1e-10)
         achieved = signed_volume(projected)
         assert abs(achieved - target) <= 1e-10 * abs(target)
         moved = np.linalg.norm(projected.positions - inflated.positions,
@@ -153,8 +154,8 @@ class TestVolumeProject:
             mesh.positions + amplitude * phi[:, None] * cache.normals,
             mesh.faces,
         )
-        projected = volume_project(offset, vertex_normals(offset), target,
-                                   tol)
+        projected, _ = volume_project(offset, vertex_normals(offset),
+                                      target, tol)
         assert abs(signed_volume(projected) - target) <= tol * abs(target)
 
     def test_rejects_large_errors(self, sphere3):
@@ -251,7 +252,7 @@ class TestStep:
 
         mesh = icosphere(2)
         state = initial_state(mesh, build_cache(mesh))
-        monkeypatch.setattr(flow, "_volume_project_impl", diverge)
+        monkeypatch.setattr(flow, "volume_project", diverge)
         with pytest.raises(
             DissipationViolationError,
             match="after 20 halvings.*ProjectionDivergedError: stub divergence",
@@ -333,6 +334,26 @@ class TestQualityPass:
         assert count > 0
         topo = validate(flipped)  # still closed, consistently oriented
         assert topo.euler_characteristic == 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from(["icosphere", "torus"]),
+        stretch=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+        threshold=st.floats(0.25 * np.pi, 1.5 * np.pi),
+    )
+    def test_flips_keep_topology(self, shape, stretch, threshold):
+        base = icosphere(2) if shape == "icosphere" else torus(
+            2.0, 0.5, 24, 10)
+        mesh = TriMesh(base.positions * np.array(stretch), base.faces)
+        before = validate(mesh)
+        flipped, _ = _flip_edges(mesh, threshold)
+        after = validate(flipped)  # closed, consistently oriented
+        assert after.euler_characteristic == before.euler_characteristic
+        f = flipped.faces
+        edges = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]],
+                                        f[:, [2, 0]]]), axis=1)
+        # every undirected edge twice, once per incident face, and no more
+        assert 2 * len(np.unique(edges, axis=0)) == len(edges)
 
 
 class TestRun:

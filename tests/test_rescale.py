@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpwf.ddg import build_cache
 from vpwf.diagnostics import concentration
@@ -133,6 +137,34 @@ class TestRescaleTrajectory:
             assert list(after.kappa.keys()) == pytest.approx(
                 [r / rho for r in before.kappa.keys()], rel=1e-14
             )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rho=st.floats(1e-3, 1e3))
+    def test_random_rho_weights_and_invariants(self, small_trajectory, rho):
+        out = rescale_trajectory(small_trajectory, RescaleSpec(rho=rho))
+        for before, after in zip(small_trajectory.records, out.records):
+            assert after.t == before.t * rho ** -4
+            assert after.area == before.area * rho ** -2.0
+            assert after.volume == before.volume * rho ** -3.0
+            assert after.lam == before.lam * rho ** 3
+            assert after.accum_L43 == pytest.approx(before.accum_L43,
+                                                    rel=1e-12)
+            assert after.accum_L2A == pytest.approx(before.accum_L2A,
+                                                    rel=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rho=st.floats(1e-3, 1e3))
+    def test_inverse_rescale_recovers_rows(self, small_trajectory, rho):
+        there = rescale_trajectory(small_trajectory, RescaleSpec(rho=rho))
+        back = rescale_trajectory(there, RescaleSpec(rho=1.0 / rho))
+        for before, after in zip(small_trajectory.records, back.records):
+            for f in fields(before):
+                old, new = getattr(before, f.name), getattr(after, f.name)
+                if f.name == "kappa":
+                    assert list(new) == pytest.approx(list(old), rel=1e-14)
+                    assert list(new.values()) == list(old.values())
+                else:
+                    assert new == pytest.approx(old, rel=1e-14, abs=0.0)
 
     def test_identity_is_bitexact(self, small_trajectory):
         out = rescale_trajectory(small_trajectory, RescaleSpec(rho=1.0))
