@@ -28,6 +28,7 @@ import importlib.machinery
 import importlib.util
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,12 +138,14 @@ class _Connectivity:
     of face ``f`` sits at flat index ``k * m + f``.  The summation matrices
     scatter such data to vertices (``corner_sum``: one value per corner,
     ``face_sum``: one value per face) and to the Laplacian's nonzeros
-    (``assemble``).
+    (``assemble``).  The mesh-maintenance structures, :attr:`pairing` and
+    :attr:`umbrella`, are built on first use.
     """
 
     def __init__(self, faces, vertex_count):
         f = faces
         m = f.shape[0]
+        self.faces = faces
         self.vertex_count = vertex_count
         flat = f.reshape(-1)
         # half-edge k of a face is the edge opposite corner k
@@ -178,6 +181,63 @@ class _Connectivity:
         self.face_sum = _summation_matrix(
             flat, face_of, (vertex_count, m)
         )
+
+    @cached_property
+    def pairing(self):
+        """Half-edges paired into edges (:class:`_EdgePairing`)."""
+        return _EdgePairing(self.faces, self.vertex_count)
+
+    @cached_property
+    def umbrella(self):
+        """(neighbour sum, degree): the sum of each vertex's edge neighbours.
+
+        ``_matvec(neighbour_sum, x)`` adds ``x`` over the neighbours in the
+        order of ``np.bincount`` over the sorted edge list, both directions
+        of each edge in turn; ``degree`` is the neighbour count as floats.
+        """
+        n = self.vertex_count
+        lo, hi = np.divmod(self.pairing.codes, n)
+        idx = np.concatenate([lo, hi])
+        other = np.concatenate([hi, lo])
+        degree = np.bincount(idx, minlength=n).astype(np.float64)
+        return _summation_matrix(idx, other, (n, n)), degree
+
+
+class _EdgePairing:
+    """Half-edges paired into undirected edges, for the edge-flip pass.
+
+    Half-edge ``k * m + f`` runs from corner k of face f to corner k+1; the
+    corner opposite it is corner k+2, at that slot of a component-first
+    (3, m) corner array.  Edges are listed by increasing code
+    ``min * n + max`` of their end vertices; the first half-edge of an
+    edge is the lower-numbered one.  Per edge:
+
+    * ``codes``: the sorted codes, one per edge;
+    * ``ends``: (i, j), the ends of the first half-edge, in its direction;
+    * ``apexes``: (k, l), the vertices opposite the first and second halves;
+    * ``corners``: the corner slots of k and l;
+    * ``faces``: the faces of the first and second halves.
+
+    ``closed`` is False when the half-edges do not pair up two by two; the
+    other fields are then meaningless.
+    """
+
+    def __init__(self, faces, vertex_count):
+        m = faces.shape[0]
+        start = faces.T.reshape(-1)
+        end = faces[:, [1, 2, 0]].T.reshape(-1)
+        code = (np.minimum(start, end) * np.int64(vertex_count)
+                + np.maximum(start, end))
+        order = np.argsort(code, kind="stable")
+        code_sorted = code[order]
+        self.closed = bool(np.array_equal(code_sorted[::2], code_sorted[1::2]))
+        first, second = order[::2], order[1::2]
+        self.codes = code_sorted[::2]
+        self.ends = (start[first], end[first])
+        opposite = (np.arange(3 * m) + 2 * m) % (3 * m)
+        self.corners = (opposite[first], opposite[second])
+        self.apexes = (start[self.corners[0]], start[self.corners[1]])
+        self.faces = (first % m, second % m)
 
 
 def _connectivity(mesh):
@@ -225,6 +285,8 @@ class GeometryCache:
     face_areas: np.ndarray = field(repr=False, default=None)
     face_normals: np.ndarray = field(repr=False, default=None)
     face_sq: np.ndarray = field(repr=False, default=None)  # (3, m) edges^2
+    # (3, m) interior angle at each corner, the angles of the defect in K
+    corner_angles: np.ndarray = field(repr=False, default=None)
     total_area: float = 0.0
     h_min: float = 0.0          # shortest edge length
 
@@ -335,12 +397,22 @@ def mean_curvature(mesh, laplacian, mass, normals):
     return dot_rows(lap_pos, normals) / mass
 
 
-def gaussian_curvature(mesh, mass, face_data=None):
-    """Angle-defect Gaussian curvature (2*pi minus corner angles) / area."""
-    areas, _, dots, _ = (
-        face_data if face_data is not None else _face_geometry(mesh)
-    )
-    angles = np.arctan2(2.0 * areas, dots)
+def _corner_angles(face_data):
+    """(3, m) interior angles, corner k's from its area and edge dot."""
+    areas, _, dots, _ = face_data
+    return np.arctan2(2.0 * areas, dots)
+
+
+def gaussian_curvature(mesh, mass, face_data=None, angles=None):
+    """Angle-defect Gaussian curvature (2*pi minus corner angles) / area.
+
+    ``angles`` are the corner angles of :func:`_corner_angles` when the
+    caller already has them.
+    """
+    if angles is None:
+        angles = _corner_angles(
+            face_data if face_data is not None else _face_geometry(mesh)
+        )
     defect = 2.0 * np.pi - _matvec(
         _connectivity(mesh).corner_sum, angles.reshape(-1)
     )
@@ -363,7 +435,8 @@ def build_cache(mesh, corners=None):
     mass = lumped_mass(mesh, face_data)
     normals = vertex_normals(mesh, face_data)
     H = mean_curvature(mesh, laplacian, mass, normals)
-    K = gaussian_curvature(mesh, mass, face_data)
+    angles = _corner_angles(face_data)
+    K = gaussian_curvature(mesh, mass, angles=angles)
     return GeometryCache(
         mesh=mesh,
         laplacian=laplacian,
@@ -376,6 +449,7 @@ def build_cache(mesh, corners=None):
         face_areas=face_data[0],
         face_normals=face_data[1].T,
         face_sq=face_data[3],
+        corner_angles=angles,
         total_area=float(face_data[0].sum()),
         h_min=float(np.sqrt(face_data[3].min())),
     )

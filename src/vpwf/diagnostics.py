@@ -82,8 +82,8 @@ def _direct_sq(a, b):
     return (d[0] + d[1]) + d[2]
 
 
-def _pair_scan(p, weights=None, radii=()):
-    """Exact diameter and the heaviest vertex-centred ball at each radius.
+def _pair_scan(p, weights=None, radii=(), diam_sq=None, rows=None):
+    """Exact squared diameter and the heaviest vertex-centred ball per radius.
 
     Each pair is visited once: rows lo:hi against columns lo: form one
     float32 block, one matrix product on the centred augmented coordinates
@@ -123,7 +123,12 @@ def _pair_scan(p, weights=None, radii=()):
     16-fold margin.  The masks, the sums that credit them and the slack
     stay float64.
 
-    Returns (diam, values, centres): the exact maximum and its first
+    A caller that scans the same points again can pass their exact squared
+    diameter ``diam_sq``, which skips the near-pair search, and a dict
+    ``rows`` that keeps the direct rows between scans; neither changes a
+    returned bit.
+
+    Returns (diam_sq, values, centres): the exact maximum and its first
     maximizing vertex per radius.
     """
     n = p.shape[0]
@@ -137,7 +142,7 @@ def _pair_scan(p, weights=None, radii=()):
     unit_sq = unit * unit
     s = scale * unit_sq
     band = 256.0 * float(np.finfo(np.float32).eps) * s
-    exact_rows = {}
+    exact_rows = {} if rows is None else rows
 
     def exact_sq(i):
         if i not in exact_rows:
@@ -171,19 +176,21 @@ def _pair_scan(p, weights=None, radii=()):
         d2 = d2_buffer[:size].reshape(hi - lo, width)
         inside = inside_buffer[:size].reshape(d2.shape)
         np.matmul(left[lo:hi], right_t[:, lo:], out=d2)
-        block_top = float(d2.max())
-        if block_top >= top - 2.0 * band:
-            top = max(top, block_top)
-            rows, cols = np.divmod(
-                np.flatnonzero(d2 >= np.float32(top - 2.0 * band)), width)
-            near.append((rows + lo, cols + lo))
+        if diam_sq is None:
+            block_top = float(d2.max())
+            if block_top >= top - 2.0 * band:
+                top = max(top, block_top)
+                pairs = np.divmod(
+                    np.flatnonzero(d2 >= np.float32(top - 2.0 * band)), width)
+                near.append((pairs[0] + lo, pairs[1] + lo))
         for slot, threshold in enumerate(thresholds):
             np.less(d2, threshold, out=inside)
             upper[slot, lo:hi] += inside @ weights[lo:]
             upper[slot, hi:] += weights[lo:hi] @ inside[:, hi - lo:]
         lo = hi
-    i, j = (np.concatenate(ends) for ends in zip(*near))
-    diam_sq = float(np.max(_direct_sq(pt[:, i], pt[:, j])))
+    if diam_sq is None:
+        i, j = (np.concatenate(ends) for ends in zip(*near))
+        diam_sq = float(np.max(_direct_sq(pt[:, i], pt[:, j])))
 
     # covers the rounding of the bound's and the direct rule's sums
     slack = 0.0 if weights is None else (
@@ -203,7 +210,7 @@ def _pair_scan(p, weights=None, radii=()):
             if value > best or (value == best and c < arg):
                 best, arg = value, c
         values[k], centres[k] = best, arg
-    return float(np.sqrt(diam_sq)), values, centres
+    return diam_sq, values, centres
 
 
 def concentration_profile(mesh, cache, radii):
@@ -262,13 +269,19 @@ def concentration_radius(mesh, cache, threshold, rel_tol=1e-6):
             "threshold %.6g >= total curvature energy %.6g"
             % (threshold, total)
         )
-    diam = diameter(mesh)
+    diam_sq = _diameter_sq(mesh.positions)
+    diam = float(np.sqrt(diam_sq))
+    weights = cache.abs_A_sq * cache.mass
+    # every probe scans the same points: the diameter and the direct rows
+    # carry over, so each probe costs one bounded scan
+    rows = {}
     lo, hi = 0.0, 1.0000001 * diam
     tol = rel_tol * diam
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        value, _ = concentration(mesh, cache, mid)
-        if value < threshold:
+        _, values, _ = _pair_scan(mesh.positions, weights, [mid], diam_sq,
+                                  rows)
+        if values[0] < threshold:
             lo = mid
         else:
             hi = mid
@@ -276,13 +289,17 @@ def concentration_radius(mesh, cache, threshold, rel_tol=1e-6):
 
 
 def diameter(mesh):
-    """Exact maximum vertex-pair distance, a direct float64 difference.
+    """Exact maximum vertex-pair distance, a direct float64 difference."""
+    return float(np.sqrt(_diameter_sq(mesh.positions)))
+
+
+def _diameter_sq(p):
+    """Squared :func:`diameter` of the points ``p``.
 
     The axis-aligned extent gives a cheap lower bound; any endpoint of a
     maximal pair must lie at least half that bound from the centroid, which
     prunes interior vertices before the pair scan.
     """
-    p = mesh.positions
     lower = float(np.max(bounding_box_extent(p)))
     center = p.mean(axis=0)
     dist = np.linalg.norm(p - center, axis=1)
@@ -395,9 +412,8 @@ def record(state, cache, config):
     The diameter and every ``kappa`` column come from one pair scan: the
     diameter is exact and ``kappa[r]`` equals ``concentration(mesh, cache,
     r)`` bit for bit, by the direct rule ``sum((p_i - p_j)**2) < r*r``.
-    ``min_face_quality`` uses the cache's face areas, which cross e01 with
-    e12, so it may differ from :func:`~vpwf.mesh.face_quality` in the last
-    bits.
+    ``min_face_quality`` is :func:`~vpwf.mesh.shape_quality` of the
+    cache's face areas and squared edge lengths.
     """
     mesh = state.mesh
     area = cache.total_area
@@ -407,8 +423,9 @@ def record(state, cache, config):
     chi = mesh.topology().euler_characteristic
     lam = lagrange_multiplier(cache, area)
     radii = tuple(config.kappa_radii)
-    diam, kappa_vals, _ = _pair_scan(
+    diam_sq, kappa_vals, _ = _pair_scan(
         mesh.positions, cache.abs_A_sq * cache.mass, radii)
+    diam = float(np.sqrt(diam_sq))
     bound = diameter_bound(area, w)
     kappa = dict(zip(radii, kappa_vals.tolist()))
     return DiagnosticsRecord(

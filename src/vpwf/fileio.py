@@ -24,14 +24,17 @@ def _fmt(x):
 
 
 def write_obj(mesh, path, comments=()):
-    """Write an ASCII OBJ file (v/f records, 1-based indices)."""
+    """Write an ASCII OBJ file (v/f records, 1-based indices).
+
+    Rows are formatted from Python floats and ints (``tolist``), where
+    ``%r`` is the shortest round-trip repr, the same text as
+    ``repr(float(x))`` for each numpy element.
+    """
+    lines = ["# %s\n" % line for line in comments]
+    lines += ["v %r %r %r\n" % tuple(p) for p in mesh.positions.tolist()]
+    lines += ["f %d %d %d\n" % tuple(f) for f in (mesh.faces + 1).tolist()]
     with open(path, "w") as fh:
-        for line in comments:
-            fh.write("# %s\n" % line)
-        for p in mesh.positions:
-            fh.write("v %s %s %s\n" % (_fmt(p[0]), _fmt(p[1]), _fmt(p[2])))
-        for f in mesh.faces:
-            fh.write("f %d %d %d\n" % (f[0] + 1, f[1] + 1, f[2] + 1))
+        fh.writelines(lines)
 
 
 def read_obj(path):

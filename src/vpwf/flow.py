@@ -29,9 +29,11 @@ from .errors import (
 from .functionals import lagrange_multiplier, signed_volume, wbar
 from .mesh import (
     TriMesh,
+    cross3,
+    dot3,
     face_areas_normals,
-    face_quality,
     gather_corners,
+    shape_quality,
     tet_volume,
 )
 from . import ddg
@@ -299,7 +301,7 @@ def step(state, config, dt_override=None, precomputed=None):
         and config.quality.cadence_steps > 0
         and new_state.step_index % config.quality.cadence_steps == 0
     ):
-        improved = quality_pass(new_state.mesh, config)
+        improved = quality_pass(new_state.mesh, config, cache=trial_cache)
         normals = ddg.vertex_normals(improved)
         improved, corners = volume_project(
             improved, normals, state.target_volume, config.projection_tol
@@ -319,103 +321,105 @@ def step(state, config, dt_override=None, precomputed=None):
     return new_state
 
 
-def _flip_edges(mesh, threshold):
+def _flip_edges(mesh, threshold, cache=None):
     """Apply non-conflicting Delaunay-style edge flips; returns (mesh, count).
 
     An interior edge is flipped when the two angles opposite to it sum to
     more than ``threshold``.  Flips are selected greedily, worst first, no
     two sharing a face, and skipped when the flipped edge already exists or
-    a resulting face would degenerate.
+    a resulting face would degenerate.  The angles are ``cache``'s corner
+    angles when a cache of ``mesh`` is given.  When no flip is applied the
+    input mesh itself is returned.
     """
-    f = np.array(mesh.faces)
-    n = mesh.vertex_count
-    half_a = np.concatenate([f[:, 0], f[:, 1], f[:, 2]])
-    half_b = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
-    opp = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
-    face_of = np.tile(np.arange(f.shape[0]), 3)
-    code = np.minimum(half_a, half_b) * np.int64(n) + np.maximum(half_a, half_b)
-    order = np.argsort(code, kind="stable")
-    code_s = code[order]
-    # closed oriented mesh: directed halves pair up two by two
-    first, second = order[::2], order[1::2]
-    if not np.array_equal(code_s[::2], code_s[1::2]):
+    pairing = ddg._connectivity(mesh).pairing
+    if not pairing.closed:
         raise QualityCollapseError("edge pairing failed; mesh not closed")
-
-    p = mesh.positions
-
-    def corner_angles(apex, left, right):
-        u = p[left] - p[apex]
-        v = p[right] - p[apex]
-        cross = np.linalg.norm(np.cross(u, v), axis=1)
-        dot = np.sum(u * v, axis=1)
-        return np.arctan2(cross, dot)
-
-    ang1 = corner_angles(opp[first], half_a[first], half_b[first])
-    ang2 = corner_angles(opp[second], half_a[second], half_b[second])
-    score = ang1 + ang2
-    candidates = np.nonzero(score > threshold)[0]
+    if cache is None:
+        angles = ddg._corner_angles(ddg._face_geometry(mesh))
+    else:
+        angles = cache.corner_angles
+    angles = angles.reshape(-1)
+    score = angles[pairing.corners[0]] + angles[pairing.corners[1]]
+    candidates = np.flatnonzero(score > threshold)
     if candidates.size == 0:
         return mesh, 0
 
-    existing = set(code.tolist())
-    used_faces = set()
-    flips = []
-    for e in candidates[np.argsort(-score[candidates])]:
-        fa, fb = int(face_of[first[e]]), int(face_of[second[e]])
-        if fa in used_faces or fb in used_faces:
-            continue
-        i, j = int(half_a[first[e]]), int(half_b[first[e]])
-        k, l = int(opp[first[e]]), int(opp[second[e]])
-        key = min(k, l) * int(n) + max(k, l)
-        if key in existing:
-            continue
-        # reject flips creating degenerate triangles
-        new1 = np.cross(p[i] - p[k], p[l] - p[k])
-        new2 = np.cross(p[l] - p[j], p[k] - p[j])
-        floor = 2.0 * mesh.area_floor()
-        if np.linalg.norm(new1) < floor or np.linalg.norm(new2) < floor:
-            continue
-        used_faces.update((fa, fb))
-        existing.add(key)
-        flips.append((fa, fb, i, j, k, l))
+    # worst first; every check below but the shared face is fixed per edge
+    order = candidates[np.argsort(-score[candidates])]
+    i, j = (v[order] for v in pairing.ends)
+    k, l = (v[order] for v in pairing.apexes)
+    fa, fb = (v[order] for v in pairing.faces)
+    key = np.minimum(k, l) * np.int64(mesh.vertex_count) + np.maximum(k, l)
+    codes = pairing.codes
+    at = np.minimum(np.searchsorted(codes, key), codes.size - 1)
+    allowed = codes[at] != key
+    # reject flips creating degenerate triangles
+    pt = mesh.positions.T
+    floor = 2.0 * mesh.area_floor()
+    for apex, u, v in ((k, i, l), (j, l, k)):
+        new = cross3(pt[:, u] - pt[:, apex], pt[:, v] - pt[:, apex])
+        allowed &= np.sqrt(dot3(new, new)) >= floor
 
-    for fa, fb, i, j, k, l in flips:
-        f[fa] = (k, i, l)
-        f[fb] = (l, j, k)
+    used_faces = set()
+    made = set()
+    flips = []
+    for e in np.flatnonzero(allowed).tolist():
+        a, b, edge = int(fa[e]), int(fb[e]), int(key[e])
+        if a in used_faces or b in used_faces or edge in made:
+            continue
+        used_faces.update((a, b))
+        made.add(edge)
+        flips.append(e)
+    if not flips:
+        return mesh, 0
+
+    f = np.array(mesh.faces)
+    f[fa[flips]] = np.column_stack([k[flips], i[flips], l[flips]])
+    f[fb[flips]] = np.column_stack([l[flips], j[flips], k[flips]])
     return TriMesh(mesh.positions, f), len(flips)
 
 
-def quality_pass(mesh, config):
+def quality_pass(mesh, config, cache=None):
     """Edge flips plus tangential-only umbrella smoothing.
 
     Smoothing moves each vertex by weight times the tangential projection
     of the umbrella vector (neighbor mean minus vertex); the normal
     component is removed exactly, so volume changes only at second order
-    and the subsequent re-projection is a tiny correction.
+    and the subsequent re-projection is a tiny correction.  ``cache``, the
+    geometry of ``mesh`` when the caller has it, supplies the flip angles
+    and, when nothing flips, the vertex normals.
+
+    Raises
+    ------
+    QualityCollapseError
+        If a face's shape quality falls below ``min_quality``.
     """
+    if cache is not None and cache.mesh is not mesh:
+        raise ValueError("cache was built for another mesh")
     qc = config.quality
-    mesh, _ = _flip_edges(mesh, qc.flip_threshold_angle)
+    mesh, count = _flip_edges(mesh, qc.flip_threshold_angle, cache)
 
     weight = qc.tangential_smoothing_weight
     if weight != 0.0:
-        normals = ddg.vertex_normals(mesh)
-        edges = mesh.edges()
-        idx = np.concatenate([edges[:, 0], edges[:, 1]])
-        other = np.concatenate([edges[:, 1], edges[:, 0]])
-        degree = np.bincount(idx, minlength=mesh.vertex_count)
-        acc = np.empty((mesh.vertex_count, 3))
-        for a in range(3):
-            acc[:, a] = np.bincount(
-                idx, weights=mesh.positions[other, a],
-                minlength=mesh.vertex_count,
-            )
-        umbrella = acc / degree[:, None] - mesh.positions
+        if cache is not None and count == 0:
+            normals = cache.normals
+        else:
+            normals = ddg.vertex_normals(mesh)
+        neighbour_sum, degree = ddg._connectivity(mesh).umbrella
+        umbrella = (ddg._matvec(neighbour_sum, mesh.positions)
+                    / degree[:, None] - mesh.positions)
         tangential = umbrella - np.sum(
             umbrella * normals, axis=1
         )[:, None] * normals
         mesh = mesh.with_positions(mesh.positions + weight * tangential)
 
-    if float(np.min(face_quality(mesh))) < qc.min_quality:
+    try:
+        areas, _, _, sq = ddg._face_geometry(mesh)
+    except DegenerateFaceError as exc:
+        raise QualityCollapseError(
+            "a face degenerated in the quality pass: %s" % exc
+        ) from exc
+    if float(np.min(shape_quality(areas, sq))) < qc.min_quality:
         raise QualityCollapseError(
             "minimum face quality fell below %.1e" % qc.min_quality
         )

@@ -220,18 +220,12 @@ def face_areas_normals(mesh, check=True):
     return areas, normals.T
 
 
-def face_quality(mesh):
+def shape_quality(areas, sq):
     """Per-face shape quality 4*sqrt(3)*area / sum of squared edge lengths.
 
-    Equals 1 for equilateral triangles and tends to 0 for slivers.
+    From face areas and (3, m) squared edge lengths; equals 1 for
+    equilateral triangles and tends to 0 for slivers.
     """
-    edges = face_edges(gather_corners(mesh))
-    areas, _ = face_areas_normals(mesh, check=False)
-    return shape_quality(areas, dot3(edges, edges))
-
-
-def shape_quality(areas, sq):
-    """:func:`face_quality` from face areas and (3, m) squared edge lengths."""
     return 4.0 * np.sqrt(3.0) * areas / sq.sum(axis=0)
 
 

@@ -227,3 +227,14 @@ def octahedron(scale=1.0):
     if signed_volume(mesh) < 0:
         mesh = TriMesh(verts, faces[:, [0, 2, 1]])
     return mesh
+
+
+def per_row_obj_text(positions, faces, comments=()):
+    """OBJ text as written one numpy row at a time, ``repr`` per element."""
+    out = ["# %s\n" % line for line in comments]
+    for p in positions:
+        out.append("v %s %s %s\n" % (repr(float(p[0])), repr(float(p[1])),
+                                       repr(float(p[2]))))
+    for f in faces:
+        out.append("f %d %d %d\n" % (f[0] + 1, f[1] + 1, f[2] + 1))
+    return "".join(out)

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpwf.ddg import (
     COT_HALF_WEIGHT_FLOOR,
@@ -137,6 +139,21 @@ class TestCurvatures:
         assert np.allclose(other.K, cache.K, atol=1e-12)
         assert np.allclose(other.mass, cache.mass, atol=1e-15)
         assert np.allclose(other.tracefree_sq, cache.tracefree_sq, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from(["icosphere", "torus"]),
+        stretch=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+    )
+    def test_corner_angles_sum_to_pi(self, shape, stretch):
+        base = icosphere(2) if shape == "icosphere" else torus(
+            2.0, 0.5, 24, 10)
+        mesh = TriMesh(base.positions * np.array(stretch), base.faces)
+        cache = build_cache(mesh)
+        assert cache.corner_angles.shape == (3, mesh.face_count)
+        assert np.max(np.abs(cache.corner_angles.sum(axis=0) - np.pi)) <= 1e-12
+        # the cached angles give K bit for bit as the cache-less path does
+        assert np.array_equal(cache.K, gaussian_curvature(mesh, cache.mass))
 
     @pytest.mark.parametrize("make,chi", [
         (lambda: icosphere(2), 2),

@@ -114,6 +114,22 @@ class TestConcentrationRadius:
         largest_below = grid[values < threshold].max()
         assert abs(r - largest_below) <= grid[1] - grid[0] + 1e-6
 
+    def test_matches_plain_bisection(self):
+        # the probes share the diameter and the direct rows; the radius is
+        # still that of a bisection on concentration() alone, bit for bit
+        mesh = perturbed_sphere(3, 1.0, 3, 2, 0.08)
+        cache = build_cache(mesh)
+        threshold = 4 * np.pi
+        diam = diameter(mesh)
+        lo, hi = 0.0, 1.0000001 * diam
+        while hi - lo > 1e-6 * diam:
+            mid = 0.5 * (lo + hi)
+            if concentration(mesh, cache, mid)[0] < threshold:
+                lo = mid
+            else:
+                hi = mid
+        assert concentration_radius(mesh, cache, threshold) == lo
+
     def test_hot_vertex_floor(self):
         # below the smallest inter-vertex spacing every ball holds a single
         # vertex, so the radius for a threshold just above the hottest

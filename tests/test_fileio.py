@@ -19,6 +19,8 @@ from vpwf.flow import FlowConfig, initial_state
 from vpwf.generators import icosphere, perturbed_sphere
 from vpwf.mesh import TriMesh, validate
 
+from oracles import per_row_obj_text
+
 
 class TestObj:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -49,6 +51,21 @@ class TestObj:
         assert np.array_equal(back.positions.view(np.int64),
                               positions.view(np.int64))
         assert np.array_equal(back.faces, faces)
+
+    def test_bytes_match_per_row_formatter(self, tmp_path):
+        # random magnitudes over the whole float64 range, signed zeros,
+        # 1e-300 and subnormals: the text is the per-element repr's
+        rng = np.random.default_rng(7)
+        positions = rng.normal(size=(400, 3)) * 10.0 ** rng.integers(
+            -320, 300, size=(400, 3))
+        positions[:4] = [[-0.0, 0.0, 1e-300], [5e-324, -5e-324, -1e-300],
+                         [2.2250738585072e-308, -1.5e-310, 1.0],
+                         [1.7976931348623157e308, 1 / 3, -2.5]]
+        faces = rng.integers(0, 400, size=(700, 3))
+        path = tmp_path / "bytes.obj"
+        write_obj(TriMesh(positions, faces), path, comments=["c1", "c 2"])
+        expected = per_row_obj_text(positions, faces, ["c1", "c 2"])
+        assert path.read_bytes() == expected.encode()
 
     def test_awkward_floats_survive(self, tmp_path):
         positions = np.array([

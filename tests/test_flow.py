@@ -355,6 +355,63 @@ class TestQualityPass:
         # every undirected edge twice, once per incident face, and no more
         assert 2 * len(np.unique(edges, axis=0)) == len(edges)
 
+    def test_skipped_flips_return_input(self):
+        # every edge of a tetrahedron has opposite angles summing to 2pi/3,
+        # and every flipped edge already exists: nothing is applied
+        verts = np.array([[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        faces = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
+        mesh = TriMesh(verts, faces)
+        if signed_volume(mesh) < 0:
+            mesh = TriMesh(verts, faces[:, [0, 2, 1]])
+        out, count = _flip_edges(mesh, 0.25 * np.pi)
+        assert out is mesh
+        assert count == 0
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from(["icosphere", "torus"]),
+        stretch=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+        threshold=st.floats(0.25 * np.pi, 1.5 * np.pi),
+    )
+    def test_cache_changes_no_bit(self, shape, stretch, threshold):
+        base = icosphere(2) if shape == "icosphere" else torus(
+            2.0, 0.5, 24, 10)
+        mesh = TriMesh(base.positions * np.array(stretch), base.faces)
+        config = FlowConfig(quality=QualityConfig(
+            enabled=True, flip_threshold_angle=threshold, min_quality=0.0))
+        # a fresh mesh per call, so neither pass reuses the other's pairing
+        plain = quality_pass(TriMesh(mesh.positions, mesh.faces), config)
+        cached = quality_pass(mesh, config, cache=build_cache(mesh))
+        assert np.array_equal(cached.positions, plain.positions)
+        assert np.array_equal(cached.faces, plain.faces)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from(["icosphere", "torus"]),
+        stretch=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+        threshold=st.floats(0.25 * np.pi, 1.5 * np.pi),
+    )
+    def test_repeated_flips_match_fresh_mesh(self, shape, stretch,
+                                             threshold):
+        # the pairing belongs to one faces array: a second pass on the
+        # flipped mesh must see its new edges, as a rebuilt copy does
+        base = icosphere(2) if shape == "icosphere" else torus(
+            2.0, 0.5, 24, 10)
+        mesh = TriMesh(base.positions * np.array(stretch), base.faces)
+        once, _ = _flip_edges(mesh, threshold)
+        twice, count = _flip_edges(once, threshold)
+        fresh = TriMesh(once.positions.copy(), once.faces.copy())
+        again, fresh_count = _flip_edges(fresh, threshold)
+        assert count == fresh_count
+        assert np.array_equal(twice.faces, again.faces)
+
+    def test_cache_of_another_mesh_rejected(self, sphere3):
+        mesh, cache = sphere3
+        other = mesh.with_positions(mesh.positions * 1.01)
+        config = FlowConfig(quality=QualityConfig(enabled=True))
+        with pytest.raises(ValueError):
+            quality_pass(other, config, cache=cache)
+
 
 class TestRun:
     def test_max_steps_zero_single_record(self):
