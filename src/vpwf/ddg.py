@@ -32,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFaceError, ZeroNormalError
-from .mesh import cross3, dot3, dot_rows, face_edges, gather_corners
+from .errors import ZeroNormalError
+from .mesh import dot_rows, face_geometry
 
 # Half-cotangents are clamped from below to limit blow-up on near-degenerate
 # triangles; the quality pass in the flow engine is the primary defense.
@@ -296,45 +296,10 @@ class GeometryCache:
         return self.tracefree_sq + 0.5 * self.H ** 2
 
 
-def _face_geometry(mesh, corners=None):
-    """Areas, winding normals, corner dots and squared edge lengths.
-
-    Per-face arrays are component-first, shape (3, m): ``normals[a]`` is
-    coordinate a, ``dots[k]`` the dot product of the two edges leaving
-    corner k and ``sq[k]`` the squared length of the edge from corner k to
-    corner k+1.  ``corners`` lets a caller that already gathered them (the
-    volume projection does) hand them over in the layout of
-    :func:`~vpwf.mesh.gather_corners`.
-
-    Raises
-    ------
-    DegenerateFaceError
-        If any face area is below the mesh's degeneracy floor.
-    """
-    if corners is None:
-        corners = gather_corners(mesh)
-    edges = face_edges(corners)
-    cross = cross3(edges[:, 0], edges[:, 1])
-    double_area = np.sqrt(dot3(cross, cross))
-    areas = 0.5 * double_area
-    floor = mesh.area_floor()
-    if (areas < floor).any():
-        worst = int(np.argmin(areas))
-        raise DegenerateFaceError(
-            "face %d has area %.3e below floor %.3e"
-            % (worst, areas[worst], floor)
-        )
-    normals = cross / double_area
-    # the edges leaving corner k are edge k and the reverse of edge k-1
-    dots = np.negative(dot3(edges, edges[:, [2, 0, 1]]))
-    sq = dot3(edges, edges)
-    return areas, normals, dots, sq
-
-
 def build_laplacian(mesh, face_data=None):
     """Cotangent operator; corner k weights the opposite edge."""
     areas, _, dots, _ = (
-        face_data if face_data is not None else _face_geometry(mesh)
+        face_data if face_data is not None else face_geometry(mesh)
     )
     half_cot = np.maximum(dots / (4.0 * areas), COT_HALF_WEIGHT_FLOOR)
     return LaplaceOperator(_connectivity(mesh), half_cot)
@@ -354,7 +319,7 @@ def lumped_mass(mesh, face_data=None):
     valence-5 vertices of any subdivided icosahedron).
     """
     areas, _, dots, sq = (
-        face_data if face_data is not None else _face_geometry(mesh)
+        face_data if face_data is not None else face_geometry(mesh)
     )
     # cot at corner k over 8, times the squared lengths of the edges at k
     cot8 = dots / (16.0 * areas)
@@ -375,7 +340,7 @@ def lumped_mass(mesh, face_data=None):
 def vertex_normals(mesh, face_data=None):
     """Area-weighted average of incident face normals, unit length."""
     areas, fnormals = (
-        face_data if face_data is not None else _face_geometry(mesh)
+        face_data if face_data is not None else face_geometry(mesh)
     )[:2]
     weighted = areas * fnormals
     face_sum = _connectivity(mesh).face_sum
@@ -411,7 +376,7 @@ def gaussian_curvature(mesh, mass, face_data=None, angles=None):
     """
     if angles is None:
         angles = _corner_angles(
-            face_data if face_data is not None else _face_geometry(mesh)
+            face_data if face_data is not None else face_geometry(mesh)
         )
     defect = 2.0 * np.pi - _matvec(
         _connectivity(mesh).corner_sum, angles.reshape(-1)
@@ -430,7 +395,7 @@ def tracefree_sq(H, K):
 
 def build_cache(mesh, corners=None):
     """Assemble every per-vertex quantity the flow and diagnostics need."""
-    face_data = _face_geometry(mesh, corners)
+    face_data = face_geometry(mesh, corners)
     laplacian = build_laplacian(mesh, face_data)
     mass = lumped_mass(mesh, face_data)
     normals = vertex_normals(mesh, face_data)

@@ -421,7 +421,7 @@ def record(state, cache, config):
     w = willmore(mesh, cache)
     wb = wbar(mesh, cache)
     chi = mesh.topology().euler_characteristic
-    lam = lagrange_multiplier(cache, area)
+    lam = lagrange_multiplier(cache)
     radii = tuple(config.kappa_radii)
     diam_sq, kappa_vals, _ = _pair_scan(
         mesh.positions, cache.abs_A_sq * cache.mass, radii)

@@ -8,11 +8,15 @@ re-projects the signed volume to the target with a safeguarded Newton
 correction along the normals, and enforces monotone energy decay: a step
 that raises the bending energy by more than the tolerance is rejected and
 retried with half the step.  The accepted trial geometry becomes the next
-step's cache, so the flow costs one geometry build per step.
+step's cache, and the accepted state carries its rates (lam, xi, max|xi|
+and wbar, :class:`Rates`): the driver's stop checks read them and the next
+step moves by them, so the flow costs one geometry build and one rate
+evaluation per step.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .mesh import (
     TriMesh,
     cross3,
     dot3,
-    face_areas_normals,
+    face_geometry,
     gather_corners,
     shape_quality,
     tet_volume,
@@ -93,9 +97,23 @@ class FlowConfig:
             raise ValueError("only the explicit-adaptive policy is implemented")
 
 
+class Rates(NamedTuple):
+    """What a state moves by: lam, xi = velocity(cache, lam), max|xi|, wbar."""
+
+    lam: float
+    xi: np.ndarray
+    max_speed: float
+    wbar: float
+
+
 @dataclass
 class FlowState:
-    """One point of the evolution plus the running multiplier integrals."""
+    """One point of the evolution plus the running multiplier integrals.
+
+    ``last_lambda``, ``last_max_speed`` and ``last_dt`` are what the step
+    into this state moved by; ``rates`` are what the next step moves by,
+    evaluated on ``cache``.
+    """
 
     mesh: TriMesh
     time: float = 0.0
@@ -108,8 +126,7 @@ class FlowState:
     last_dt: float = 0.0
     last_halvings: int = 0
     cache: object = field(default=None, repr=False, compare=False)
-    # wbar of ``cache``, carried from the step that built it
-    cache_wbar: float = field(default=None, repr=False, compare=False)
+    rates: Rates = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -123,11 +140,17 @@ class Trajectory:
 
 
 def initial_state(mesh, cache=None):
-    """Flow state at time zero; the current volume becomes the target."""
+    """Flow state at time zero; the current volume becomes the target.
+
+    ``cache`` is the geometry of ``mesh`` when the caller has it.
+    """
+    if cache is None:
+        cache = build_cache(mesh)
     return FlowState(
         mesh=mesh,
         target_volume=signed_volume(mesh),
         cache=cache,
+        rates=_rates(cache, wbar(mesh, cache)),
     )
 
 
@@ -146,15 +169,20 @@ def velocity(cache, lam):
     return xi
 
 
-def choose_dt(state, cache, config, max_speed=None):
+def _rates(cache, wb):
+    """The :class:`Rates` of an accepted cache whose wbar is ``wb``."""
+    lam = lagrange_multiplier(cache)
+    xi = velocity(cache, lam)
+    return Rates(lam, xi, float(np.abs(xi).max()), wb)
+
+
+def choose_dt(cache, config, max_speed):
     """Fourth-order explicit stability heuristic.
 
     dt = min(dt_max, sigma * h_min^4 / (1 + max|xi| * h_min^3)) with h_min
     the shortest edge; halving every edge divides the leading term by 16,
     matching the parabolic scaling of the flow.
     """
-    if max_speed is None:
-        max_speed = float(np.max(np.abs(velocity(cache, state.last_lambda))))
     h = cache.h_min
     dt = min(config.dt_max,
              config.dt_safety * h ** 4 / (1.0 + max_speed * h ** 3))
@@ -163,14 +191,14 @@ def choose_dt(state, cache, config, max_speed=None):
     return dt
 
 
-def volume_project(mesh, normals, target_volume, tol, max_iterations=50,
-                   area_hint=None):
+def volume_project(mesh, normals, target_volume, tol, total_area,
+                   max_iterations=50):
     """Move vertices along ``normals`` so the signed volume hits the target.
 
     Newton iteration on c -> V(f + c*nu) with the first-variation derivative
-    dV/dc = -A, safeguarded by a residual-decrease check.  The projection is
-    a small correction: it refuses to bridge volume errors of 50% or more.
-    ``area_hint`` is the total area of ``mesh`` when the caller knows it.
+    dV/dc = -A, ``total_area`` being the area A of ``mesh``, safeguarded by
+    a residual-decrease check.  The projection is a small correction: it
+    refuses to bridge volume errors of 50% or more.
 
     Returns (projected mesh, its corners), the corners in the
     :func:`~vpwf.mesh.gather_corners` layout, ready for
@@ -187,11 +215,6 @@ def volume_project(mesh, normals, target_volume, tol, max_iterations=50,
         )
     if rel <= tol:
         return mesh, corners
-    if area_hint is not None:
-        total_area = area_hint
-    else:
-        area, _ = face_areas_normals(mesh, check=False)
-        total_area = float(np.sum(area))
     c = 0.0
     best = rel
     for _ in range(max_iterations):
@@ -205,8 +228,7 @@ def volume_project(mesh, normals, target_volume, tol, max_iterations=50,
             return projected, corners
         if rel >= best:
             # refresh the derivative before declaring failure
-            a, _ = face_areas_normals(projected, check=False)
-            total_area = float(np.sum(a))
+            total_area = float(np.sum(face_geometry(projected, corners)[0]))
         best = min(best, rel)
     raise ProjectionDivergedError(
         "volume projection stalled at relative error %.3e" % rel
@@ -220,7 +242,7 @@ def _advance(state, cache, xi, dt, config):
     )
     projected, corners = volume_project(
         moved, cache.normals, state.target_volume, config.projection_tol,
-        area_hint=cache.total_area,
+        cache.total_area,
     )
     trial_cache = build_cache(projected, corners=corners)
     if not (
@@ -231,29 +253,26 @@ def _advance(state, cache, xi, dt, config):
     return projected, trial_cache, wbar(projected, trial_cache)
 
 
-def step(state, config, dt_override=None, precomputed=None):
-    """One accepted flow step; returns the successor state.
+def _no_energy_rise(before, after, config):
+    """The monotone-energy rule: wbar may rise by at most
+    dissipation_tol * max(1, wbar)."""
+    return after <= before + config.dissipation_tol * max(1.0, before)
 
-    The energy is not allowed to rise by more than
-    dissipation_tol * max(1, wbar): offending trials, and trials whose
-    geometry fails (``_TRIAL_FAILURES``), are retried with half the step,
-    up to 20 halvings.  With ``dt_override`` a failing trial raises at
-    once.  ``precomputed`` lets the driver hand over (lam, xi, max_speed,
-    wbar) it already evaluated for its stopping checks.
+
+def step(state, config):
+    """One accepted flow step from a state of :func:`initial_state` or of
+    an earlier step; returns the successor state.
+
+    The step moves by ``state.rates``.  A trial that breaks the
+    monotone-energy rule, or whose geometry fails (``_TRIAL_FAILURES``), is
+    retried with half the step, up to ``MAX_HALVINGS`` halvings.  When the
+    quality cadence falls on the step, the mesh-maintenance pass runs on
+    the accepted trial and is kept if it raises no energy either.  The
+    returned state carries the rates of its own cache.
     """
-    cache = state.cache if state.cache is not None else build_cache(state.mesh)
-    total_area = cache.total_area
-    if precomputed is None:
-        lam = lagrange_multiplier(cache, total_area)
-        xi = velocity(cache, lam)
-        max_speed = float(np.abs(xi).max())
-        wb = wbar(state.mesh, cache)
-    else:
-        lam, xi, max_speed, wb = precomputed
-    dt = dt_override if dt_override is not None else choose_dt(
-        state, cache, config, max_speed
-    )
-    allowed = wb + config.dissipation_tol * max(1.0, wb)
+    cache = state.cache
+    lam, xi, max_speed, wb = state.rates
+    dt = choose_dt(cache, config, max_speed)
 
     halvings = 0
     wb_trial = math.nan
@@ -261,11 +280,9 @@ def step(state, config, dt_override=None, precomputed=None):
         failure = None
         try:
             mesh, trial_cache, wb_trial = _advance(state, cache, xi, dt, config)
-            if wb_trial <= allowed:
+            if _no_energy_rise(wb, wb_trial, config):
                 break
         except _TRIAL_FAILURES as exc:
-            if dt_override is not None:
-                raise
             wb_trial = math.nan
             failure = exc
         if halvings >= MAX_HALVINGS:
@@ -281,44 +298,42 @@ def step(state, config, dt_override=None, precomputed=None):
         dt *= 0.5
         halvings += 1
 
-    new_state = FlowState(
-        mesh=mesh,
-        time=state.time + dt,
-        step_index=state.step_index + 1,
-        target_volume=state.target_volume,
-        accum_L43=state.accum_L43 + abs(lam) ** (4.0 / 3.0) * dt,
-        accum_L2A=state.accum_L2A + lam * lam * total_area * dt,
-        last_lambda=lam,
-        last_max_speed=max_speed,
-        last_dt=dt,
-        last_halvings=halvings,
-        cache=trial_cache,
-        cache_wbar=wb_trial,
-    )
-
+    step_index = state.step_index + 1
     if (
         config.quality.enabled
         and config.quality.cadence_steps > 0
-        and new_state.step_index % config.quality.cadence_steps == 0
+        and step_index % config.quality.cadence_steps == 0
     ):
-        improved = quality_pass(new_state.mesh, config, cache=trial_cache)
-        normals = ddg.vertex_normals(improved)
+        improved = quality_pass(mesh, config, cache=trial_cache)
+        face_data = face_geometry(improved)
         improved, corners = volume_project(
-            improved, normals, state.target_volume, config.projection_tol
+            improved, ddg.vertex_normals(improved, face_data),
+            state.target_volume, config.projection_tol,
+            float(np.sum(face_data[0])),
         )
         improved_cache = build_cache(improved, corners=corners)
         wb_improved = wbar(improved, improved_cache)
         # mesh maintenance must not break the monotone-energy contract;
         # an energy-raising pass is skipped rather than applied
-        if wb_improved <= wb_trial + config.dissipation_tol * max(
-            1.0, wb_trial
-        ):
-            new_state = replace(
-                new_state, mesh=improved, cache=improved_cache,
-                cache_wbar=wb_improved,
+        if _no_energy_rise(wb_trial, wb_improved, config):
+            mesh, trial_cache, wb_trial = (
+                improved, improved_cache, wb_improved
             )
 
-    return new_state
+    return FlowState(
+        mesh=mesh,
+        time=state.time + dt,
+        step_index=step_index,
+        target_volume=state.target_volume,
+        accum_L43=state.accum_L43 + abs(lam) ** (4.0 / 3.0) * dt,
+        accum_L2A=state.accum_L2A + lam * lam * cache.total_area * dt,
+        last_lambda=lam,
+        last_max_speed=max_speed,
+        last_dt=dt,
+        last_halvings=halvings,
+        cache=trial_cache,
+        rates=_rates(trial_cache, wb_trial),
+    )
 
 
 def _flip_edges(mesh, threshold, cache=None):
@@ -335,7 +350,7 @@ def _flip_edges(mesh, threshold, cache=None):
     if not pairing.closed:
         raise QualityCollapseError("edge pairing failed; mesh not closed")
     if cache is None:
-        angles = ddg._corner_angles(ddg._face_geometry(mesh))
+        angles = ddg._corner_angles(face_geometry(mesh))
     else:
         angles = cache.corner_angles
     angles = angles.reshape(-1)
@@ -414,7 +429,7 @@ def quality_pass(mesh, config, cache=None):
         mesh = mesh.with_positions(mesh.positions + weight * tangential)
 
     try:
-        areas, _, _, sq = ddg._face_geometry(mesh)
+        areas, _, _, sq = face_geometry(mesh)
     except DegenerateFaceError as exc:
         raise QualityCollapseError(
             "a face degenerated in the quality pass: %s" % exc
@@ -436,7 +451,7 @@ def run(mesh, config, record_fn=None):
     if record_fn is None:
         from .diagnostics import record as record_fn
 
-    state = initial_state(mesh, build_cache(mesh))
+    state = initial_state(mesh)
     traj = Trajectory()
     pending_snapshots = sorted(config.snapshot_times)
 
@@ -454,18 +469,11 @@ def run(mesh, config, record_fn=None):
 
     recorded_at = state.step_index
     while True:
-        cache = state.cache
-        lam = lagrange_multiplier(cache, cache.total_area)
-        xi = velocity(cache, lam)
-        max_speed = float(np.abs(xi).max())
-        wb = state.cache_wbar
-        if wb is None:
-            wb = wbar(state.mesh, cache)
         stop = config.stop
-        if stop.speed_tol > 0.0 and max_speed < stop.speed_tol:
+        if stop.speed_tol > 0.0 and state.rates.max_speed < stop.speed_tol:
             traj.stop_reason = "speed_tol"
             break
-        if stop.wbar_tol > 0.0 and wb < stop.wbar_tol:
+        if stop.wbar_tol > 0.0 and state.rates.wbar < stop.wbar_tol:
             traj.stop_reason = "wbar_tol"
             break
         if state.time >= stop.max_time:
@@ -476,7 +484,7 @@ def run(mesh, config, record_fn=None):
             break
 
         try:
-            state = step(state, config, precomputed=(lam, xi, max_speed, wb))
+            state = step(state, config)
         except Exception as exc:
             # attach the last good state so callers can save or inspect it
             traj.final_state = state

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import gather_corners, tet_volume
+from .mesh import face_geometry, gather_corners, tet_volume
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,7 @@ def area(mesh, cache=None):
     """Total surface area."""
     if cache is not None:
         return float(np.sum(cache.face_areas))
-    from .mesh import face_areas_normals
-
-    return float(np.sum(face_areas_normals(mesh)[0]))
+    return float(np.sum(face_geometry(mesh)[0]))
 
 
 def signed_volume(mesh):
@@ -65,17 +63,16 @@ def scalar_willmore_gradient(cache):
     return cache.lap_H + cache.tracefree_sq * cache.H
 
 
-def lagrange_multiplier(cache, total_area=None):
+def lagrange_multiplier(cache):
     """Nonlocal multiplier making the flow volume-preserving.
 
-    integral(|A0|^2 H) / area; contains no curvature derivatives, so it is
-    computed from the pointwise cache fields every step.
+    integral(|A0|^2 H) / area, the area being ``cache.total_area``; contains
+    no curvature derivatives, so it is computed from the pointwise cache
+    fields every step.
     """
-    if total_area is None:
-        total_area = float(cache.mass.sum())
     return float(
         (cache.tracefree_sq * cache.H * cache.mass).sum()
-    ) / total_area
+    ) / cache.total_area
 
 
 def scale_defect(mesh, cache, origin=None):
@@ -111,5 +108,5 @@ def energy_report(mesh, cache):
         willmore=w,
         wbar=wb,
         gauss_bonnet_defect=wb - (2.0 * w - 4.0 * np.pi * chi),
-        lam=lagrange_multiplier(cache, a),
+        lam=lagrange_multiplier(cache),
     )

@@ -8,7 +8,7 @@ the generated mesh enforces this regardless of the construction order.
 import numpy as np
 
 from .errors import BadParamsError
-from .mesh import TriMesh
+from .mesh import TriMesh, gather_corners, tet_volume
 
 _PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -32,18 +32,12 @@ _ICO_FACES = np.array(
 )
 
 
-def _tet_sum(positions, faces):
-    p0 = positions[faces[:, 0]]
-    p1 = positions[faces[:, 1]]
-    p2 = positions[faces[:, 2]]
-    return float(np.sum(np.sum(p0 * np.cross(p1, p2), axis=1))) / 6.0
-
-
 def _oriented_inward(positions, faces):
     """Flip windings if needed so the signed volume comes out positive."""
-    if -_tet_sum(positions, faces) < 0.0:
-        faces = faces[:, [0, 2, 1]]
-    return TriMesh(positions, faces)
+    mesh = TriMesh(positions, faces)
+    if tet_volume(gather_corners(mesh)) < 0.0:
+        mesh = TriMesh(positions, faces[:, [0, 2, 1]])
+    return mesh
 
 
 def _subdivide(positions, faces):
@@ -170,10 +164,3 @@ def perturbed_sphere(level, radius, l, m, amplitude):
         raise BadParamsError("perturbation amplitude collapses the surface")
     return _oriented_inward(radii[:, None] * sphere.positions, sphere.faces)
 
-
-GENERATORS = {
-    "icosphere": icosphere,
-    "ellipsoid": ellipsoid,
-    "torus": torus,
-    "perturbed_sphere": perturbed_sphere,
-}

@@ -188,36 +188,39 @@ def face_edges(corners):
     return edges
 
 
-def face_areas_normals(mesh, check=True):
-    """Areas and unit winding normals of all faces.
+def face_geometry(mesh, corners=None):
+    """Areas, winding normals, corner dots and squared edge lengths.
 
-    Returns
-    -------
-    areas : (m,) array
-    normals : (m, 3) array
-        Unit normals following the face winding (right-hand rule).
+    The package's one face-geometry kernel.  Per-face arrays are
+    component-first, shape (3, m): ``normals[a]`` is coordinate a,
+    ``dots[k]`` the dot product of the two edges leaving corner k and
+    ``sq[k]`` the squared length of the edge from corner k to corner k+1.
+    ``corners`` lets a caller that already gathered them (the volume
+    projection does) hand them over in the layout of :func:`gather_corners`.
 
     Raises
     ------
     DegenerateFaceError
-        If ``check`` and any area is below the mesh's degeneracy floor.
+        If any face area is below the mesh's degeneracy floor.
     """
-    corners = gather_corners(mesh)
-    p0, p1, p2 = corners[:, 0], corners[:, 1], corners[:, 2]
-    cross = cross3(p1 - p0, p2 - p0)
+    if corners is None:
+        corners = gather_corners(mesh)
+    edges = face_edges(corners)
+    cross = cross3(edges[:, 0], edges[:, 1])
     double_area = np.sqrt(dot3(cross, cross))
     areas = 0.5 * double_area
-    if check:
-        floor = mesh.area_floor()
-        if np.any(areas < floor):
-            worst = int(np.argmin(areas))
-            raise DegenerateFaceError(
-                "face %d has area %.3e below floor %.3e"
-                % (worst, areas[worst], floor)
-            )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        normals = cross / np.where(double_area > 0.0, double_area, 1.0)
-    return areas, normals.T
+    floor = mesh.area_floor()
+    if (areas < floor).any():
+        worst = int(np.argmin(areas))
+        raise DegenerateFaceError(
+            "face %d has area %.3e below floor %.3e"
+            % (worst, areas[worst], floor)
+        )
+    normals = cross / double_area
+    # the edges leaving corner k are edge k and the reverse of edge k-1
+    dots = np.negative(dot3(edges, edges[:, [2, 0, 1]]))
+    sq = dot3(edges, edges)
+    return areas, normals, dots, sq
 
 
 def shape_quality(areas, sq):
@@ -285,7 +288,7 @@ def validate(mesh):
             % (i, j, int(counts[counts != 2][0]))
         )
 
-    face_areas_normals(mesh)  # raises DegenerateFaceError
+    face_geometry(mesh)  # raises DegenerateFaceError
 
     edge_count = uniq.size
     face_count = f.shape[0]

@@ -23,7 +23,7 @@ from vpwf.flow import (
     velocity,
     volume_project,
 )
-from vpwf.functionals import lagrange_multiplier, signed_volume, wbar
+from vpwf.functionals import area, lagrange_multiplier, signed_volume, wbar
 from vpwf.generators import ellipsoid, icosphere, perturbed_sphere, torus
 from vpwf.mesh import TriMesh, validate
 
@@ -74,54 +74,46 @@ class TestVelocity:
 class TestChooseDt:
     def test_parabolic_scaling(self, sphere_state):
         config = FlowConfig(dt_max=1e3)
-        cache = sphere_state.cache
-        dt = choose_dt(sphere_state, cache, config, max_speed=0.0)
+        dt = choose_dt(sphere_state.cache, config, 0.0)
         half = initial_state(
             TriMesh(0.5 * sphere_state.mesh.positions,
                     sphere_state.mesh.faces)
         )
-        half_cache = build_cache(half.mesh)
-        dt_half = choose_dt(half, half_cache, config, max_speed=0.0)
+        dt_half = choose_dt(half.cache, config, 0.0)
         assert dt / dt_half == pytest.approx(16.0, rel=1e-12)
 
     def test_zero_speed_limit(self, sphere_state):
         config = FlowConfig(dt_max=1e3)
         cache = sphere_state.cache
-        dt = choose_dt(sphere_state, cache, config, max_speed=0.0)
+        dt = choose_dt(cache, config, 0.0)
         assert dt == pytest.approx(
             config.dt_safety * cache.h_min ** 4, rel=1e-12
         )
-        assert choose_dt(sphere_state, cache, config) < dt
+        assert choose_dt(cache, config, sphere_state.rates.max_speed) < dt
 
     def test_safety_monotonicity(self, sphere_state):
         cache = sphere_state.cache
         dt_small = choose_dt(
-            sphere_state, cache, FlowConfig(dt_safety=0.25, dt_max=1e3),
-            max_speed=1.0,
+            cache, FlowConfig(dt_safety=0.25, dt_max=1e3), 1.0
         )
-        dt_big = choose_dt(
-            sphere_state, cache, FlowConfig(dt_safety=0.5, dt_max=1e3),
-            max_speed=1.0,
-        )
+        dt_big = choose_dt(cache, FlowConfig(dt_safety=0.5, dt_max=1e3), 1.0)
         assert dt_big / dt_small == pytest.approx(2.0, rel=1e-12)
 
     def test_dt_max_caps(self, sphere_state):
         config = FlowConfig(dt_max=1e-12)
-        assert choose_dt(sphere_state, sphere_state.cache, config,
-                         max_speed=0.0) == 1e-12
+        assert choose_dt(sphere_state.cache, config, 0.0) == 1e-12
 
     def test_underflow(self, sphere_state):
         config = FlowConfig(dt_max=1e-4)
         with pytest.raises(StepUnderflowError):
-            choose_dt(sphere_state, sphere_state.cache, config,
-                      max_speed=1e30)
+            choose_dt(sphere_state.cache, config, 1e30)
 
 
 class TestVolumeProject:
     def test_already_at_target_is_identity(self, sphere3):
         mesh, cache = sphere3
         out, _ = volume_project(mesh, cache.normals, signed_volume(mesh),
-                                1e-10)
+                                1e-10, cache.total_area)
         assert out is mesh
 
     def test_inflated_sphere_projects_back(self, sphere3):
@@ -129,7 +121,8 @@ class TestVolumeProject:
         target = signed_volume(mesh)
         inflated = TriMesh(1.01 * mesh.positions, mesh.faces)
         normals = vertex_normals(inflated)
-        projected, _ = volume_project(inflated, normals, target, 1e-10)
+        projected, _ = volume_project(inflated, normals, target, 1e-10,
+                                      area(inflated))
         achieved = signed_volume(projected)
         assert abs(achieved - target) <= 1e-10 * abs(target)
         moved = np.linalg.norm(projected.positions - inflated.positions,
@@ -155,14 +148,14 @@ class TestVolumeProject:
             mesh.faces,
         )
         projected, _ = volume_project(offset, vertex_normals(offset),
-                                      target, tol)
+                                      target, tol, area(offset))
         assert abs(signed_volume(projected) - target) <= tol * abs(target)
 
     def test_rejects_large_errors(self, sphere3):
         mesh, cache = sphere3
         with pytest.raises(ProjectionDivergedError):
             volume_project(mesh, cache.normals, 10 * signed_volume(mesh),
-                           1e-10)
+                           1e-10, cache.total_area)
 
 
 class TestStep:
@@ -200,25 +193,35 @@ class TestStep:
             assert after <= before + 1e-6 * max(1.0, before)
         assert w_values[-1] < w_values[0]
 
-    def test_oversized_steps_are_rejected(self):
+    def test_oversized_steps_are_rejected(self, monkeypatch):
         # forcing dt an order of magnitude past the stability heuristic
         # feeds the stiffest modes; within a few steps the blow-up must be
         # flagged as non-finite or as an energy increase and rejected
+        from vpwf import flow
+
+        def oversized(cache, config, max_speed):
+            return 10.0 * choose_dt(cache, config, max_speed)
+
+        monkeypatch.setattr(flow, "choose_dt", oversized)
         mesh = ellipsoid(1.2, 1.0, 0.85, 2)
         config = FlowConfig(dt_max=1e3)
         state = initial_state(mesh, build_cache(mesh))
-        caught = False
         for _ in range(80):
-            dt = choose_dt(state, state.cache, config)
-            try:
-                state = step(state, config, dt_override=10.0 * dt)
-            except NonFiniteError:
-                caught = True
-                break
+            before, state = state, step(state, config)
             if state.last_halvings >= 1:
-                caught = True
                 break
-        assert caught
+        assert state.last_halvings >= 1
+        # the full oversized trial was flagged, not merely unlucky
+        dt = oversized(before.cache, config, before.rates.max_speed)
+        try:
+            _, _, wb_trial = flow._advance(
+                before, before.cache, before.rates.xi, dt, config
+            )
+        except NonFiniteError:
+            pass
+        else:
+            wb = before.rates.wbar
+            assert wb_trial > wb + config.dissipation_tol * max(1.0, wb)
         # the accepted state never carries an undetected energy blow-up
         assert np.isfinite(wbar(state.mesh, state.cache))
 
@@ -234,7 +237,7 @@ class TestStep:
         state = initial_state(mesh, build_cache(mesh))
         config = FlowConfig()
         with pytest.raises(ProjectionDivergedError):
-            step(state, config, dt_override=dt)
+            flow._advance(state, state.cache, state.rates.xi, dt, config)
         monkeypatch.setattr(flow, "choose_dt", lambda *args, **kw: dt)
         after = step(state, config)
         assert after.last_halvings >= 1
@@ -466,6 +469,87 @@ class TestRun:
             run(mesh, config)
         assert err.value.last_state is not None
         assert err.value.last_state.mesh.vertex_count == mesh.vertex_count
+
+
+class TestOneStep:
+    """``run`` is a loop over the module-level ``step``, whose states carry
+    the rates of their own geometry."""
+
+    # on this bump the first step's quality pass is kept and the next ones
+    # are skipped for raising the energy
+    mesh = perturbed_sphere(2, 1.0, 3, 2, 0.3)
+
+    @staticmethod
+    def quality_every_step(max_steps):
+        return FlowConfig(
+            quality=QualityConfig(enabled=True, cadence_steps=1),
+            stop=StopRule(max_steps=max_steps),
+        )
+
+    def test_run_calls_module_step_every_step(self, monkeypatch):
+        from vpwf import flow
+
+        calls = []
+        original = flow.step
+
+        def counted(state, config):
+            calls.append(state.step_index)
+            return original(state, config)
+
+        monkeypatch.setattr(flow, "step", counted)
+        traj = run(self.mesh, self.quality_every_step(12))
+        assert len(calls) == traj.final_state.step_index == 12
+        assert calls == list(range(12))
+
+    def test_rates_belong_to_the_accepted_geometry(self, monkeypatch):
+        # with a quality pass on every step the accepted cache is sometimes
+        # the maintained one, not the trial's: the rates must follow it
+        from vpwf import flow
+
+        states, trial_caches = [], []
+        step_fn, advance_fn = flow.step, flow._advance
+
+        def keep_state(state, config):
+            states.append(step_fn(state, config))
+            return states[-1]
+
+        def keep_trial(*args):
+            out = advance_fn(*args)
+            trial_caches.append(out[1])
+            return out
+
+        monkeypatch.setattr(flow, "step", keep_state)
+        monkeypatch.setattr(flow, "_advance", keep_trial)
+        run(self.mesh, self.quality_every_step(10))
+        assert len(states) == 10
+        maintained = [s for s in states
+                      if all(s.cache is not c for c in trial_caches)]
+        # both outcomes of the pass occur
+        assert 0 < len(maintained) < len(states)
+        for state in states:
+            cache = state.cache
+            assert cache.mesh is state.mesh
+            lam = lagrange_multiplier(cache)
+            xi = velocity(cache, lam)
+            assert state.rates.lam == lam
+            assert np.array_equal(state.rates.xi, xi)
+            assert state.rates.max_speed == float(np.abs(xi).max())
+            assert state.rates.wbar == wbar(state.mesh, cache)
+
+    def test_step_from_initial_state_is_first_step_of_run(self):
+        config = self.quality_every_step(1)
+        alone = step(initial_state(self.mesh), config)
+        first = run(self.mesh, config).final_state
+        assert first.step_index == alone.step_index == 1
+        assert np.array_equal(alone.mesh.positions, first.mesh.positions)
+        assert np.array_equal(alone.mesh.faces, first.mesh.faces)
+        for name in ("time", "target_volume", "accum_L43", "accum_L2A",
+                     "last_lambda", "last_max_speed", "last_dt",
+                     "last_halvings"):
+            assert getattr(alone, name) == getattr(first, name), name
+        assert np.array_equal(alone.rates.xi, first.rates.xi)
+        assert (alone.rates.lam, alone.rates.max_speed, alone.rates.wbar) == (
+            first.rates.lam, first.rates.max_speed, first.rates.wbar)
 
 
 class TestFlowConfigValidation:

@@ -10,7 +10,7 @@ from vpwf.errors import (
 from vpwf.generators import icosphere, torus
 from vpwf.mesh import (
     TriMesh,
-    face_areas_normals,
+    face_geometry,
     validate,
 )
 
@@ -114,8 +114,8 @@ class TestFaceGeometry:
     ])
     def test_closed_meshes_have_zero_total_vector_area(self, builder):
         mesh = builder()
-        areas, normals = face_areas_normals(mesh)
-        resultant = np.linalg.norm((areas[:, None] * normals).sum(axis=0))
+        areas, normals, _, _ = face_geometry(mesh)
+        resultant = np.linalg.norm((areas * normals).sum(axis=1))
         assert resultant <= 1e-12 * areas.sum()
 
     def test_shortest_edge(self):
