@@ -13,7 +13,7 @@ around it.  See README.md for the command-line interface.
 """
 
 from .mesh import TriMesh, MeshTopologySummary, validate
-from .ddg import GeometryCache, LaplaceOperator, build_cache
+from .ddg import GeometryCache, build_cache
 from .functionals import (
     EnergyReport,
     area,
@@ -60,7 +60,7 @@ from .generators import ellipsoid, icosphere, perturbed_sphere, torus
 
 __all__ = [
     "TriMesh", "MeshTopologySummary", "validate",
-    "GeometryCache", "LaplaceOperator", "build_cache",
+    "GeometryCache", "build_cache",
     "EnergyReport", "area", "energy_report", "lagrange_multiplier",
     "scalar_willmore_gradient", "signed_volume", "wbar", "willmore",
     "FlowConfig", "FlowState", "QualityConfig", "StopRule", "Trajectory",

@@ -232,8 +232,8 @@ def _print_report(title, rep):
     print("  lambda              = %.12g" % rep.lam)
 
 
-def _print_sphere_fit(mesh):
-    center, radius, rms, worst = sphere_fit(mesh)
+def _print_sphere_fit(mesh, cache):
+    center, radius, rms, worst = sphere_fit(mesh, cache.mass)
     print("  best-fit sphere: center (%.9g, %.9g, %.9g)" % tuple(center))
     print("    radius %.9g, rms deviation %.3g, max deviation %.3g"
           % (radius, rms, worst))
@@ -288,7 +288,7 @@ def cmd_simulate(args):
           % (traj.stop_reason, state.step_index, state.time))
     _print_report("final energies:",
                   energy_report(state.mesh, state.cache))
-    _print_sphere_fit(state.mesh)
+    _print_sphere_fit(state.mesh, state.cache)
     return EXIT_OK
 
 
@@ -313,7 +313,7 @@ def cmd_analyze(args):
     print("  translation defect  = %.3g" % row.translation_defect)
     print("  min face quality    = %.6g" % row.min_face_quality)
     print("  li-yau (W < 8pi)    = %s" % row.li_yau)
-    _print_sphere_fit(mesh)
+    _print_sphere_fit(mesh, cache)
     if args.csv:
         fileio.write_trajectory_csv([row], args.csv)
     return EXIT_OK

@@ -11,9 +11,11 @@ Conventions, anchored by the round sphere with inward normal:
   vertex area, which keeps the curvature integral summing to 2*pi*chi
   exactly while staying pointwise consistent at irregular vertices.
 
-The flow rebuilds the operator every step but connectivity almost never
-changes, so the sparsity pattern and all index arrays are derived once per
-faces array and only the cotangent data is refreshed.
+Each operator takes the face data of :func:`~vpwf.mesh.face_geometry`;
+:func:`build_cache` builds it once per mesh and passes it down.  The flow
+rebuilds the operator every step but connectivity almost never changes,
+so the sparsity pattern and all index arrays are derived once per faces
+array and only the cotangent data is refreshed.
 
 Every sparse product runs scipy's compiled CSR kernel, ``_sparsetools``,
 on plain CSR arrays (:class:`CSR`).  The kernel is loaded from its own
@@ -86,11 +88,10 @@ class CSR:
 def _matvec(a, x):
     """``a @ x`` for a CSR matrix ``a`` and a vector or (n, k) stack ``x``.
 
-    ``a`` is anything with CSR ``indptr``/``indices``/``data`` and a
-    ``shape`` (a :class:`CSR` or a :class:`LaplaceOperator`).  This runs the
-    compiled kernel that ``scipy.sparse``'s ``@`` ends up in, on the same
-    arrays and into the same zeroed output, so every sum keeps its order
-    and its rounding.  It skips scipy's dispatch around the kernel, which
+    ``a`` is a :class:`CSR` record: a cache's Laplacian or one of the
+    connectivity's summation matrices.  This runs the compiled kernel that
+    ``scipy.sparse``'s ``@`` ends up in, on the same arrays and into the
+    same zeroed output, so every sum keeps its order and its rounding.  It skips scipy's dispatch around the kernel, which
     costs more than the product itself on meshes of a few thousand
     vertices.
     """
@@ -248,47 +249,24 @@ def _connectivity(mesh):
     return conn
 
 
-class LaplaceOperator:
-    """Cotangent Laplace operator, a sparse symmetric matrix in CSR arrays.
-
-    ``weights`` holds the per-face-edge half-cotangent contributions (three
-    per face, clamped, component-first); ``data`` accumulates them
-    symmetrically with zero row sums, on the connectivity's sparsity
-    pattern (``indices``/``indptr``).
-    """
-
-    def __init__(self, conn, weights):
-        n = conn.vertex_count
-        self.vertex_count = n
-        self.shape = (n, n)
-        self.indices = conn.indices
-        self.indptr = conn.indptr
-        self.data = _matvec(conn.assemble, weights.reshape(-1))
-
-    def apply(self, u):
-        """Return L @ u for a per-vertex scalar field or (n, k) stack."""
-        return _matvec(self, u)
-
-
 @dataclass(eq=False)
 class GeometryCache:
     """Per-vertex discrete geometry of one mesh, immutable once built."""
 
     mesh: object
-    laplacian: LaplaceOperator
+    laplacian: CSR              # cotangent operator, see build_laplacian
     mass: np.ndarray            # mixed Voronoi vertex areas, sums to area
     normals: np.ndarray         # unit vertex normals
     H: np.ndarray               # mean curvature, +2/r on inward unit sphere
     K: np.ndarray               # angle-defect Gaussian curvature
     tracefree_sq: np.ndarray    # |A0|^2 = max(H^2/2 - 2K, 0)
     lap_H: np.ndarray           # mass-normalized Laplacian of H
-    face_areas: np.ndarray = field(repr=False, default=None)
-    face_normals: np.ndarray = field(repr=False, default=None)
-    face_sq: np.ndarray = field(repr=False, default=None)  # (3, m) edges^2
+    face_areas: np.ndarray = field(repr=False)
+    face_sq: np.ndarray = field(repr=False)  # (3, m) squared edge lengths
     # (3, m) interior angle at each corner, the angles of the defect in K
-    corner_angles: np.ndarray = field(repr=False, default=None)
-    total_area: float = 0.0
-    h_min: float = 0.0          # shortest edge length
+    corner_angles: np.ndarray = field(repr=False)
+    total_area: float
+    h_min: float                # shortest edge length
 
     @property
     def abs_A_sq(self):
@@ -296,16 +274,22 @@ class GeometryCache:
         return self.tracefree_sq + 0.5 * self.H ** 2
 
 
-def build_laplacian(mesh, face_data=None):
-    """Cotangent operator; corner k weights the opposite edge."""
-    areas, _, dots, _ = (
-        face_data if face_data is not None else face_geometry(mesh)
-    )
+def build_laplacian(mesh, face_data):
+    """Cotangent operator as a :class:`CSR` record, from ``face_data``.
+
+    Corner k's clamped half-cotangent weights the opposite edge; the
+    connectivity's ``assemble`` adds the weights up symmetrically with
+    zero row sums, on its sparsity pattern.
+    """
+    areas, _, dots, _ = face_data
     half_cot = np.maximum(dots / (4.0 * areas), COT_HALF_WEIGHT_FLOOR)
-    return LaplaceOperator(_connectivity(mesh), half_cot)
+    conn = _connectivity(mesh)
+    n = conn.vertex_count
+    return CSR(_matvec(conn.assemble, half_cot.reshape(-1)), conn.indices,
+               conn.indptr, (n, n))
 
 
-def lumped_mass(mesh, face_data=None):
+def lumped_mass(mesh, face_data):
     """Mixed Voronoi vertex areas (exact tiling, positive).
 
     Non-obtuse triangles contribute their circumcentric cell pieces
@@ -318,9 +302,7 @@ def lumped_mass(mesh, face_data=None):
     vertices (a one-third lumping leaves an O(1) error at the twelve
     valence-5 vertices of any subdivided icosahedron).
     """
-    areas, _, dots, sq = (
-        face_data if face_data is not None else face_geometry(mesh)
-    )
+    areas, _, dots, sq = face_data
     # cot at corner k over 8, times the squared lengths of the edges at k
     cot8 = dots / (16.0 * areas)
     shared = sq[0] * cot8[2]
@@ -337,11 +319,9 @@ def lumped_mass(mesh, face_data=None):
     return _matvec(_connectivity(mesh).corner_sum, part.reshape(-1))
 
 
-def vertex_normals(mesh, face_data=None):
+def vertex_normals(mesh, face_data):
     """Area-weighted average of incident face normals, unit length."""
-    areas, fnormals = (
-        face_data if face_data is not None else face_geometry(mesh)
-    )[:2]
+    areas, fnormals = face_data[:2]
     weighted = areas * fnormals
     face_sum = _connectivity(mesh).face_sum
     acc = np.empty((mesh.vertex_count, 3))
@@ -358,7 +338,7 @@ def vertex_normals(mesh, face_data=None):
 
 def mean_curvature(mesh, laplacian, mass, normals):
     """H_i from the normal component of the mass-normalized Laplacian."""
-    lap_pos = laplacian.apply(mesh.positions)
+    lap_pos = _matvec(laplacian, mesh.positions)
     return dot_rows(lap_pos, normals) / mass
 
 
@@ -368,16 +348,11 @@ def _corner_angles(face_data):
     return np.arctan2(2.0 * areas, dots)
 
 
-def gaussian_curvature(mesh, mass, face_data=None, angles=None):
+def gaussian_curvature(mesh, mass, angles):
     """Angle-defect Gaussian curvature (2*pi minus corner angles) / area.
 
-    ``angles`` are the corner angles of :func:`_corner_angles` when the
-    caller already has them.
+    ``angles`` are the (3, m) corner angles of :func:`_corner_angles`.
     """
-    if angles is None:
-        angles = _corner_angles(
-            face_data if face_data is not None else face_geometry(mesh)
-        )
     defect = 2.0 * np.pi - _matvec(
         _connectivity(mesh).corner_sum, angles.reshape(-1)
     )
@@ -394,14 +369,20 @@ def tracefree_sq(H, K):
 
 
 def build_cache(mesh, corners=None):
-    """Assemble every per-vertex quantity the flow and diagnostics need."""
+    """Assemble every per-vertex quantity the flow and diagnostics need.
+
+    This is the one way to get them: the face data of
+    :func:`~vpwf.mesh.face_geometry` is built once and handed to each
+    operator.  ``corners`` are the mesh's gathered corners when the caller
+    has them (the volume projection does).
+    """
     face_data = face_geometry(mesh, corners)
     laplacian = build_laplacian(mesh, face_data)
     mass = lumped_mass(mesh, face_data)
     normals = vertex_normals(mesh, face_data)
     H = mean_curvature(mesh, laplacian, mass, normals)
     angles = _corner_angles(face_data)
-    K = gaussian_curvature(mesh, mass, angles=angles)
+    K = gaussian_curvature(mesh, mass, angles)
     return GeometryCache(
         mesh=mesh,
         laplacian=laplacian,
@@ -410,9 +391,8 @@ def build_cache(mesh, corners=None):
         H=H,
         K=K,
         tracefree_sq=tracefree_sq(H, K),
-        lap_H=laplacian.apply(H) / mass,
+        lap_H=_matvec(laplacian, H) / mass,
         face_areas=face_data[0],
-        face_normals=face_data[1].T,
         face_sq=face_data[3],
         corner_angles=angles,
         total_area=float(face_data[0].sum()),

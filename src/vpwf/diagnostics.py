@@ -314,16 +314,13 @@ def diameter_bound(area, willmore_energy):
     return (2.0 / np.pi) * np.sqrt(area * willmore_energy)
 
 
-def diameter_check(mesh, willmore_energy, area=None):
+def diameter_check(mesh, willmore_energy, area):
     """Evaluate the diameter inequality; returns (diameter, bound, ok).
 
-    The bound gets a 1e-9 multiplicative slack to absorb roundoff; the
-    inequality itself carries the explicit constant 2/pi.
+    ``area`` is the mesh's total area, a cache's ``total_area``.  The bound
+    gets a 1e-9 multiplicative slack to absorb roundoff; the inequality
+    itself carries the explicit constant 2/pi.
     """
-    if area is None:
-        from .functionals import area as area_fn
-
-        area = area_fn(mesh)
     d = diameter(mesh)
     bound = diameter_bound(area, willmore_energy)
     return d, bound, d <= bound * (1.0 + 1e-9)
@@ -340,24 +337,23 @@ def area_ratio(mesh, cache, center, radius):
     """Vertex-sampled ball area divided by radius squared.
 
     The density that the monotonicity inequality controls; approaches pi
-    for small balls centered on a smooth point of the surface.
+    for small balls centered on a smooth point of the surface.  Membership
+    is the module's one rule, :func:`_direct_sq`.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=np.float64)
-    d_sq = np.einsum(
-        "ij,ij->i", mesh.positions - center, mesh.positions - center
-    )
+    d_sq = _direct_sq(mesh.positions.T, center[:, None])
     return float(np.sum(cache.mass[d_sq < radius * radius])) / radius ** 2
 
 
-def sphere_fit(mesh, weights=None):
+def sphere_fit(mesh, weights):
     """Best-fit sphere of the vertex set.
 
     Linear algebraic fit (|p|^2 = 2<c, p> + r^2 - |c|^2) refined by five
-    Gauss-Newton iterations on the geometric distance.  Residuals and the
-    reported deviations are weighted by the vertex areas unless explicit
-    ``weights`` are given.
+    Gauss-Newton iterations on the geometric distance.  The residuals and
+    the rms deviation are weighted by ``weights``, usually the vertex
+    areas ``cache.mass``; the max deviation is unweighted.
 
     Returns
     -------
@@ -369,14 +365,6 @@ def sphere_fit(mesh, weights=None):
         If the vertices are coplanar to 1e-12.
     """
     p = mesh.positions
-    if weights is None:
-        from .ddg import lumped_mass
-        from .errors import MeshError
-
-        try:
-            weights = lumped_mass(mesh)
-        except MeshError:
-            weights = np.ones(p.shape[0])
     w = np.asarray(weights, dtype=np.float64)
     sw = np.sqrt(w / np.sum(w))
     a = np.column_stack([2.0 * p, np.ones(p.shape[0])]) * sw[:, None]

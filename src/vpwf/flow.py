@@ -304,8 +304,7 @@ def step(state, config):
         and config.quality.cadence_steps > 0
         and step_index % config.quality.cadence_steps == 0
     ):
-        improved = quality_pass(mesh, config, cache=trial_cache)
-        face_data = face_geometry(improved)
+        improved, face_data = quality_pass(mesh, config, trial_cache)
         improved, corners = volume_project(
             improved, ddg.vertex_normals(improved, face_data),
             state.target_volume, config.projection_tol,
@@ -336,23 +335,19 @@ def step(state, config):
     )
 
 
-def _flip_edges(mesh, threshold, cache=None):
+def _flip_edges(mesh, threshold, angles):
     """Apply non-conflicting Delaunay-style edge flips; returns (mesh, count).
 
     An interior edge is flipped when the two angles opposite to it sum to
     more than ``threshold``.  Flips are selected greedily, worst first, no
     two sharing a face, and skipped when the flipped edge already exists or
-    a resulting face would degenerate.  The angles are ``cache``'s corner
-    angles when a cache of ``mesh`` is given.  When no flip is applied the
-    input mesh itself is returned.
+    a resulting face would degenerate.  ``angles`` are the (3, m) corner
+    angles of ``mesh``, a cache's ``corner_angles``.  When no flip is
+    applied the input mesh itself is returned.
     """
     pairing = ddg._connectivity(mesh).pairing
     if not pairing.closed:
         raise QualityCollapseError("edge pairing failed; mesh not closed")
-    if cache is None:
-        angles = ddg._corner_angles(face_geometry(mesh))
-    else:
-        angles = cache.corner_angles
     angles = angles.reshape(-1)
     score = angles[pairing.corners[0]] + angles[pairing.corners[1]]
     candidates = np.flatnonzero(score > threshold)
@@ -394,32 +389,37 @@ def _flip_edges(mesh, threshold, cache=None):
     return TriMesh(mesh.positions, f), len(flips)
 
 
-def quality_pass(mesh, config, cache=None):
+def quality_pass(mesh, config, cache):
     """Edge flips plus tangential-only umbrella smoothing.
 
     Smoothing moves each vertex by weight times the tangential projection
     of the umbrella vector (neighbor mean minus vertex); the normal
     component is removed exactly, so volume changes only at second order
     and the subsequent re-projection is a tiny correction.  ``cache``, the
-    geometry of ``mesh`` when the caller has it, supplies the flip angles
-    and, when nothing flips, the vertex normals.
+    geometry of ``mesh``, supplies the flip angles and, when nothing
+    flips, the vertex normals.
+
+    Returns (mesh, face data), the face data being
+    :func:`~vpwf.mesh.face_geometry` of the returned mesh, built once for
+    the quality check.
 
     Raises
     ------
     QualityCollapseError
         If a face's shape quality falls below ``min_quality``.
     """
-    if cache is not None and cache.mesh is not mesh:
+    if cache.mesh is not mesh:
         raise ValueError("cache was built for another mesh")
     qc = config.quality
-    mesh, count = _flip_edges(mesh, qc.flip_threshold_angle, cache)
+    mesh, count = _flip_edges(mesh, qc.flip_threshold_angle,
+                              cache.corner_angles)
 
     weight = qc.tangential_smoothing_weight
     if weight != 0.0:
-        if cache is not None and count == 0:
+        if count == 0:
             normals = cache.normals
         else:
-            normals = ddg.vertex_normals(mesh)
+            normals = ddg.vertex_normals(mesh, face_geometry(mesh))
         neighbour_sum, degree = ddg._connectivity(mesh).umbrella
         umbrella = (ddg._matvec(neighbour_sum, mesh.positions)
                     / degree[:, None] - mesh.positions)
@@ -429,16 +429,17 @@ def quality_pass(mesh, config, cache=None):
         mesh = mesh.with_positions(mesh.positions + weight * tangential)
 
     try:
-        areas, _, _, sq = face_geometry(mesh)
+        face_data = face_geometry(mesh)
     except DegenerateFaceError as exc:
         raise QualityCollapseError(
             "a face degenerated in the quality pass: %s" % exc
         ) from exc
+    areas, _, _, sq = face_data
     if float(np.min(shape_quality(areas, sq))) < qc.min_quality:
         raise QualityCollapseError(
             "minimum face quality fell below %.1e" % qc.min_quality
         )
-    return mesh
+    return mesh, face_data
 
 
 def run(mesh, config, record_fn=None):

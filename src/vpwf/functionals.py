@@ -31,10 +31,8 @@ class EnergyReport:
     lam: float
 
 
-def area(mesh, cache=None):
-    """Total surface area."""
-    if cache is not None:
-        return float(np.sum(cache.face_areas))
+def area(mesh):
+    """Total surface area; a cache carries it as ``total_area``."""
     return float(np.sum(face_geometry(mesh)[0]))
 
 
@@ -98,7 +96,7 @@ def translation_defect(cache):
 
 def energy_report(mesh, cache):
     """Assemble the full :class:`EnergyReport` for one mesh."""
-    a = area(mesh, cache)
+    a = cache.total_area
     w = willmore(mesh, cache)
     wb = wbar(mesh, cache)
     chi = mesh.topology().euler_characteristic

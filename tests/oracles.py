@@ -195,8 +195,9 @@ def volume_gradient_normal(mesh, normals):
 def csr_matrix(record):
     """``scipy.sparse.csr_matrix`` on the arrays of a ddg CSR record.
 
-    ``record`` is a ``LaplaceOperator`` or one of the connectivity's
-    summation matrices; the matrix shares its arrays.
+    ``record`` is a :class:`~vpwf.ddg.CSR`, such as a cache's Laplacian or
+    one of the connectivity's summation matrices; the matrix shares its
+    arrays.
     """
     return sparse.csr_matrix(
         (record.data, record.indices, record.indptr), shape=record.shape,
@@ -206,7 +207,9 @@ def csr_matrix(record):
 
 def laplacian_of_scalar(laplacian, mass, u):
     """Mass-normalized operator application, same sign convention as H."""
-    return laplacian.apply(u) / mass
+    from vpwf.ddg import _matvec
+
+    return _matvec(laplacian, u) / mass
 
 
 def octahedron(scale=1.0):

@@ -114,7 +114,7 @@ def test_criterion_2_ellipsoid_convergence(ellipsoid_run):
     state = traj.final_state
     target_radius = (3.0 * state.target_volume / (4.0 * np.pi)) ** (1.0 / 3.0)
     w_final = willmore(state.mesh, state.cache)
-    _, radius, rms, _ = sphere_fit(state.mesh)
+    _, radius, rms, _ = sphere_fit(state.mesh, state.cache.mass)
     ok = (
         traj.stop_reason in ("speed_tol", "wbar_tol")
         and abs(w_final - 4 * np.pi) <= 0.02 * 4 * np.pi

@@ -219,11 +219,27 @@ class TestAreaRatio:
         mesh, cache = sphere4
         assert area_ratio(mesh, cache, np.array([10.0, 0, 0]), 1.0) == 0.0
 
+    def test_membership_is_the_direct_rule(self, sphere4):
+        # balls centred on a vertex whose radius is the direct distance to
+        # another vertex put that vertex on the boundary, where a fused dot
+        # product (einsum) rounds the other way in about one case in ten;
+        # the ratio must use the one rule of every other ball
+        mesh, cache = sphere4
+        pt = mesh.positions.T
+        rng = np.random.default_rng(0)
+        for i, j in rng.integers(0, mesh.vertex_count, (200, 2)):
+            if i == j:
+                continue
+            r = float(np.sqrt(_direct_sq(pt[:, i], pt[:, j])))
+            inside = _direct_sq(pt, pt[:, i, None]) < r * r
+            expected = float(np.sum(cache.mass[inside])) / r ** 2
+            assert area_ratio(mesh, cache, pt[:, i], r) == expected
+
 
 class TestSphereFit:
     def test_exact_sphere(self, sphere4):
-        mesh, _ = sphere4
-        center, radius, rms, worst = sphere_fit(mesh)
+        mesh, cache = sphere4
+        center, radius, rms, worst = sphere_fit(mesh, cache.mass)
         assert np.allclose(center, 0.0, atol=1e-12)
         assert radius == pytest.approx(1.0, abs=1e-12)
         assert rms <= 1e-12
@@ -236,12 +252,12 @@ class TestSphereFit:
             noisy = TriMesh(
                 mesh.positions * (1.0 + noise)[:, None], mesh.faces
             )
-            _, radius, _, _ = sphere_fit(noisy)
+            _, radius, _, _ = sphere_fit(noisy, build_cache(noisy).mass)
             assert radius == pytest.approx(1.0, abs=2e-3)
 
     def test_ellipsoid_is_not_a_sphere(self, ellipsoid4):
-        mesh, _ = ellipsoid4
-        _, _, _, worst = sphere_fit(mesh)
+        mesh, cache = ellipsoid4
+        _, _, _, worst = sphere_fit(mesh, cache.mass)
         assert worst > 0.1
 
     def test_coplanar_raises(self):
@@ -257,12 +273,12 @@ class TestSphereFit:
                 faces.append([v + 1, v + 6, v + 5])
         flat = TriMesh(positions, np.array(faces))
         with pytest.raises(SingularFitError):
-            sphere_fit(flat)
+            sphere_fit(flat, build_cache(flat).mass)
 
     def test_off_center_sphere(self):
         mesh = icosphere(3, 2.0)
         moved = TriMesh(mesh.positions + [1.0, -2.0, 0.5], mesh.faces)
-        center, radius, rms, _ = sphere_fit(moved)
+        center, radius, rms, _ = sphere_fit(moved, build_cache(moved).mass)
         assert np.allclose(center, [1.0, -2.0, 0.5], atol=1e-10)
         assert radius == pytest.approx(2.0, abs=1e-10)
 

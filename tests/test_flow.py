@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpwf.ddg import build_cache, vertex_normals
+from vpwf.ddg import _connectivity, build_cache, vertex_normals
 from vpwf.errors import (
     DissipationViolationError,
     NonFiniteError,
@@ -25,7 +25,7 @@ from vpwf.flow import (
 )
 from vpwf.functionals import area, lagrange_multiplier, signed_volume, wbar
 from vpwf.generators import ellipsoid, icosphere, perturbed_sphere, torus
-from vpwf.mesh import TriMesh, validate
+from vpwf.mesh import TriMesh, face_geometry, validate
 
 from oracles import random_smooth_normal_field
 
@@ -120,7 +120,7 @@ class TestVolumeProject:
         mesh, cache = sphere3
         target = signed_volume(mesh)
         inflated = TriMesh(1.01 * mesh.positions, mesh.faces)
-        normals = vertex_normals(inflated)
+        normals = vertex_normals(inflated, face_geometry(inflated))
         projected, _ = volume_project(inflated, normals, target, 1e-10,
                                       area(inflated))
         achieved = signed_volume(projected)
@@ -147,8 +147,9 @@ class TestVolumeProject:
             mesh.positions + amplitude * phi[:, None] * cache.normals,
             mesh.faces,
         )
-        projected, _ = volume_project(offset, vertex_normals(offset),
-                                      target, tol, area(offset))
+        projected, _ = volume_project(
+            offset, vertex_normals(offset, face_geometry(offset)), target,
+            tol, area(offset))
         assert abs(signed_volume(projected) - target) <= tol * abs(target)
 
     def test_rejects_large_errors(self, sphere3):
@@ -293,17 +294,17 @@ class TestStep:
 
 class TestQualityPass:
     def test_smoothing_weight_zero_is_identity(self, sphere3):
-        mesh, _ = sphere3
+        mesh, cache = sphere3
         config = FlowConfig(
             quality=QualityConfig(enabled=True,
                                   tangential_smoothing_weight=0.0)
         )
-        out = quality_pass(mesh, config)
+        out, _ = quality_pass(mesh, config, cache)
         assert np.array_equal(out.positions, mesh.positions)
 
     def test_already_delaunay_no_flips(self, sphere3):
-        mesh, _ = sphere3
-        out, flips = _flip_edges(mesh, np.pi)
+        mesh, cache = sphere3
+        out, flips = _flip_edges(mesh, np.pi, cache.corner_angles)
         assert flips == 0
 
     def test_smoothing_is_tangential(self, sphere3):
@@ -312,19 +313,19 @@ class TestQualityPass:
             quality=QualityConfig(enabled=True,
                                   tangential_smoothing_weight=0.3)
         )
-        out = quality_pass(mesh, config)
+        out, _ = quality_pass(mesh, config, cache)
         displacement = out.positions - mesh.positions
         normal_part = np.sum(displacement * cache.normals, axis=1)
         assert np.max(np.abs(normal_part)) <= 1e-12
 
     def test_smoothing_nearly_volume_neutral(self, sphere4):
-        mesh, _ = sphere4
+        mesh, cache = sphere4
         config = FlowConfig(
             quality=QualityConfig(enabled=True,
                                   tangential_smoothing_weight=0.1)
         )
         before = signed_volume(mesh)
-        out = quality_pass(mesh, config)
+        out, _ = quality_pass(mesh, config, cache)
         assert abs(signed_volume(out) - before) <= 1e-6 * abs(before)
 
     def test_flips_fire_and_preserve_validity(self):
@@ -333,7 +334,8 @@ class TestQualityPass:
         mesh = torus(2.0, 0.5, 24, 10)
         stretched = TriMesh(mesh.positions * [1.0, 1.0, 2.5], mesh.faces)
         validate(stretched)
-        flipped, count = _flip_edges(stretched, np.pi)
+        flipped, count = _flip_edges(
+            stretched, np.pi, build_cache(stretched).corner_angles)
         assert count > 0
         topo = validate(flipped)  # still closed, consistently oriented
         assert topo.euler_characteristic == 0
@@ -349,7 +351,8 @@ class TestQualityPass:
             2.0, 0.5, 24, 10)
         mesh = TriMesh(base.positions * np.array(stretch), base.faces)
         before = validate(mesh)
-        flipped, _ = _flip_edges(mesh, threshold)
+        flipped, _ = _flip_edges(
+            mesh, threshold, build_cache(mesh).corner_angles)
         after = validate(flipped)  # closed, consistently oriented
         assert after.euler_characteristic == before.euler_characteristic
         f = flipped.faces
@@ -366,7 +369,8 @@ class TestQualityPass:
         mesh = TriMesh(verts, faces)
         if signed_volume(mesh) < 0:
             mesh = TriMesh(verts, faces[:, [0, 2, 1]])
-        out, count = _flip_edges(mesh, 0.25 * np.pi)
+        out, count = _flip_edges(
+            mesh, 0.25 * np.pi, build_cache(mesh).corner_angles)
         assert out is mesh
         assert count == 0
 
@@ -382,11 +386,18 @@ class TestQualityPass:
         mesh = TriMesh(base.positions * np.array(stretch), base.faces)
         config = FlowConfig(quality=QualityConfig(
             enabled=True, flip_threshold_angle=threshold, min_quality=0.0))
-        # a fresh mesh per call, so neither pass reuses the other's pairing
-        plain = quality_pass(TriMesh(mesh.positions, mesh.faces), config)
-        cached = quality_pass(mesh, config, cache=build_cache(mesh))
+        # the pairing and umbrella are kept per faces array: a pass on a
+        # mesh that already built them must match one on a fresh mesh
+        fresh = TriMesh(mesh.positions, mesh.faces)
+        plain, plain_data = quality_pass(fresh, config, build_cache(fresh))
+        cache = build_cache(mesh)
+        conn = _connectivity(mesh)
+        assert conn.pairing.closed and conn.umbrella is not None
+        cached, cached_data = quality_pass(mesh, config, cache)
         assert np.array_equal(cached.positions, plain.positions)
         assert np.array_equal(cached.faces, plain.faces)
+        for got, want in zip(cached_data, plain_data):
+            assert np.array_equal(got, want)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -401,19 +412,38 @@ class TestQualityPass:
         base = icosphere(2) if shape == "icosphere" else torus(
             2.0, 0.5, 24, 10)
         mesh = TriMesh(base.positions * np.array(stretch), base.faces)
-        once, _ = _flip_edges(mesh, threshold)
-        twice, count = _flip_edges(once, threshold)
+        once, _ = _flip_edges(mesh, threshold,
+                              build_cache(mesh).corner_angles)
+        angles = build_cache(once).corner_angles
+        twice, count = _flip_edges(once, threshold, angles)
         fresh = TriMesh(once.positions.copy(), once.faces.copy())
-        again, fresh_count = _flip_edges(fresh, threshold)
+        again, fresh_count = _flip_edges(fresh, threshold, angles)
         assert count == fresh_count
         assert np.array_equal(twice.faces, again.faces)
+
+    @pytest.mark.parametrize("shape,weight", [
+        ("icosphere", 0.1),    # nothing flips
+        ("torus", 0.1),        # flips fire
+        ("torus", 0.0),        # flips fire, no smoothing
+    ])
+    def test_returned_face_data_is_the_output_geometry(self, shape, weight):
+        mesh = icosphere(2) if shape == "icosphere" else torus(
+            2.0, 0.5, 24, 10)
+        config = FlowConfig(quality=QualityConfig(
+            enabled=True, tangential_smoothing_weight=weight,
+            min_quality=0.0))
+        out, face_data = quality_pass(mesh, config, build_cache(mesh))
+        expected = face_geometry(out)
+        assert len(face_data) == len(expected)
+        for got, want in zip(face_data, expected):
+            assert np.array_equal(got, want)
 
     def test_cache_of_another_mesh_rejected(self, sphere3):
         mesh, cache = sphere3
         other = mesh.with_positions(mesh.positions * 1.01)
         config = FlowConfig(quality=QualityConfig(enabled=True))
         with pytest.raises(ValueError):
-            quality_pass(other, config, cache=cache)
+            quality_pass(other, config, cache)
 
 
 class TestRun:
@@ -535,6 +565,30 @@ class TestOneStep:
             assert np.array_equal(state.rates.xi, xi)
             assert state.rates.max_speed == float(np.abs(xi).max())
             assert state.rates.wbar == wbar(state.mesh, cache)
+
+    def test_step_builds_smoothed_face_data_once(self, monkeypatch):
+        # the quality pass hands the face data of its output mesh to the
+        # step's projection, so that mesh's face geometry is built once
+        from vpwf import flow
+
+        built, projected_from = [], []
+        face_geometry_fn, project_fn = flow.face_geometry, flow.volume_project
+
+        def spy_face_geometry(mesh, corners=None):
+            built.append(mesh)
+            return face_geometry_fn(mesh, corners)
+
+        def spy_project(mesh, *args, **kwargs):
+            projected_from.append(mesh)
+            return project_fn(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "face_geometry", spy_face_geometry)
+        monkeypatch.setattr(flow, "volume_project", spy_project)
+        state = step(initial_state(self.mesh), self.quality_every_step(1))
+        # one projection per trial, then the maintained mesh's
+        assert len(projected_from) == state.last_halvings + 2
+        smoothed = projected_from[-1]
+        assert sum(m is smoothed for m in built) == 1
 
     def test_step_from_initial_state_is_first_step_of_run(self):
         config = self.quality_every_step(1)

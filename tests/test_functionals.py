@@ -42,7 +42,7 @@ class TestAreaVolume:
 
     def test_sphere_quadrature(self, sphere4):
         mesh, cache = sphere4
-        assert area(mesh, cache) == pytest.approx(4 * np.pi, rel=2e-3)
+        assert cache.total_area == pytest.approx(4 * np.pi, rel=2e-3)
         assert signed_volume(mesh) == pytest.approx(4 * np.pi / 3, rel=5e-3)
 
     def test_volume_translation_invariant(self, sphere3):
