@@ -1,7 +1,10 @@
 """Monitored quantities: concentration function, inequalities, sphere fit.
 
-Everything here is a pure read-only function of a mesh snapshot and its
-geometry cache.  Ball-based quantities use extrinsic Euclidean balls with
+Every returned value is a function of a mesh snapshot and its geometry
+cache alone.  The one state the module keeps is the record of its latest
+full pair scan (``_last_scan``), whose bounds a later scan of points that
+have barely moved reuses: it can save work, never change a result.
+Ball-based quantities use extrinsic Euclidean balls with
 vertex-sampled membership (consistent with the lumped quadrature); the
 candidate ball centers are the vertex positions themselves, which
 understates the true supremum over all of space by at most a covering
@@ -30,7 +33,6 @@ import numpy as np
 from .errors import NoFiniteRadiusError, SingularFitError, ZeroVolumeError
 from .functionals import (
     lagrange_multiplier,
-    scalar_willmore_gradient,
     scale_defect,
     signed_volume,
     translation_defect,
@@ -82,6 +84,150 @@ def _direct_sq(a, b):
     return (d[0] + d[1]) + d[2]
 
 
+@dataclass(frozen=True, eq=False)
+class _BlockScan:
+    """What one full block scan of :func:`_pair_scan` proved.
+
+    ``pt`` and ``weights`` are read-only copies of the (3, n) positions and
+    the weights it saw (``total`` their sum), ``radii_sq`` the squared radii
+    it was asked for and ``live`` the indices of those it bounded: row
+    ``slot`` of ``upper`` bounds every centre's content at radius
+    ``live[slot]``, and ``order[slot]`` lists the centres by decreasing
+    bound.  ``unit`` and ``s`` are the block scaling, ``band`` the rounding
+    band and ``top`` the largest entry; ``near`` holds the pairs within
+    twice the band of ``top`` and ``diam_sq`` their exact maximum.
+    """
+
+    pt: np.ndarray
+    weights: np.ndarray
+    total: float
+    radii_sq: tuple
+    unit: float
+    s: float
+    band: float
+    live: tuple
+    upper: np.ndarray
+    order: tuple
+    top: float
+    near: tuple
+    diam_sq: float
+
+
+# the record of the latest full block scan that searched the near pairs;
+# replaced by one assignment, never changed in place
+_last_scan = None
+
+
+def _block_bounds(qt, sq, unit, weights, thresholds, band, find_near):
+    """The O(n^2) float32 block loop of :func:`_pair_scan`.
+
+    Returns (upper, top, near): for each threshold the weight every centre
+    credits to its entries below it, the largest entry, and the (i, j)
+    index arrays of the entries within ``2 band`` of the running maximum
+    (none unless ``find_near``).
+    """
+    n = qt.shape[1]
+    # rows [q, |q|^2, 1] times columns [-2q, 1, |q|^2], scaled by unit
+    left = np.empty((n, 5), dtype=np.float32)
+    left[:, :3] = (unit * qt).T
+    left[:, 3] = unit * unit * sq
+    left[:, 4] = 1.0
+    right_t = np.empty((5, n), dtype=np.float32)
+    right_t[:3] = (-2.0 * unit) * qt
+    right_t[3] = 1.0
+    right_t[4] = left[:, 3]
+    entries = max(_BLOCK_BYTES // 8, n)
+    d2_buffer = np.empty(entries, dtype=np.float32)
+    inside_buffer = np.empty(entries)
+    upper = np.zeros((len(thresholds), n))
+    top, near = -np.inf, []
+    # each pair once: rows lo:hi against columns lo:, credited to both ends
+    lo = 0
+    while lo < n:
+        width = n - lo
+        hi = min(n, lo + max(1, entries // width))
+        size = (hi - lo) * width
+        d2 = d2_buffer[:size].reshape(hi - lo, width)
+        inside = inside_buffer[:size].reshape(d2.shape)
+        np.matmul(left[lo:hi], right_t[:, lo:], out=d2)
+        if find_near:
+            block_top = float(d2.max())
+            if block_top >= top - 2.0 * band:
+                top = max(top, block_top)
+                pairs = np.divmod(
+                    np.flatnonzero(d2 >= np.float32(top - 2.0 * band)),
+                    width)
+                near.append((pairs[0] + lo, pairs[1] + lo))
+        for slot, threshold in enumerate(thresholds):
+            np.less(d2, threshold, out=inside)
+            upper[slot, lo:hi] += inside @ weights[lo:]
+            upper[slot, hi:] += weights[lo:hi] @ inside[:, hi - lo:]
+        lo = hi
+    if find_near:
+        near = tuple(np.concatenate(ends) for ends in zip(*near))
+    return upper, top, near
+
+
+def _full_scan(pt, weights, radii_sq, find_near):
+    """Bound every live radius and find the near pairs by the block loop."""
+    qt = pt - pt.mean(axis=1, keepdims=True)
+    sq = _direct_sq(qt, 0.0)
+    scale = float(sq.max())
+    unit = math.ldexp(1.0, -(math.frexp(scale)[1] // 2))
+    unit_sq = unit * unit
+    s = scale * unit_sq
+    band = 256.0 * float(np.finfo(np.float32).eps) * s
+    # no pair is farther apart than twice the largest centroid distance
+    live = tuple(k for k, r_sq in enumerate(radii_sq)
+                 if r_sq * unit_sq <= 4.0 * s + band)
+    thresholds = [np.float32(radii_sq[k] * unit_sq + band) for k in live]
+    upper, top, near = _block_bounds(qt, sq, unit, weights, thresholds,
+                                     band, find_near)
+    diam_sq = None
+    if find_near:
+        i, j = near
+        diam_sq = float(np.max(_direct_sq(pt[:, i], pt[:, j])))
+    order = tuple(np.argsort(-bound, kind="stable") for bound in upper)
+    if weights is not None:
+        weights = np.array(weights, dtype=np.float64)
+    for a in (pt, weights, upper, *order, *near):
+        if a is not None:
+            a.flags.writeable = False
+    return _BlockScan(
+        pt=pt, weights=weights,
+        total=0.0 if weights is None else float(weights.sum()),
+        radii_sq=radii_sq, unit=unit, s=s, band=band, live=live,
+        upper=upper, order=order, top=top, near=near, diam_sq=diam_sq)
+
+
+def _weight_growth(scan, pt, weights, radii_sq):
+    """``sum(max(w - w_prev, 0))`` if ``scan`` still bounds this scan.
+
+    None when the vertex count, the radii or the presence of weights
+    differ, or when the points moved too far since ``scan`` for its bounds
+    and near pairs to hold (the two drift tests of :func:`_pair_scan`).
+    """
+    if (scan is None or scan.pt.shape != pt.shape
+            or scan.radii_sq != radii_sq
+            or (scan.weights is None) != (weights is None)):
+        return None
+    us = scan.band / 512.0
+    # the largest displacement in scaled units, rounded up
+    delta = scan.unit * math.sqrt(float(np.max(_direct_sq(pt, scan.pt))))
+    delta *= 1.0 + 1e-12
+    rho = math.sqrt(min(max(radii_sq, default=0.0) * scan.unit ** 2,
+                        4.0 * scan.s + scan.band))
+    if 4.0 * delta * (rho + delta) > 0.5 * (scan.band - 32.0 * us):
+        return None
+    gap = (math.sqrt(max(scan.diam_sq * scan.unit ** 2 - us, 0.0))
+           - math.sqrt(max(scan.top - 2.0 * scan.band + 33.0 * us, 0.0)))
+    if 4.0 * delta > 0.5 * gap:
+        return None
+    if weights is None:
+        return 0.0
+    return float(np.maximum(weights - scan.weights, 0.0).sum())
+
+
 def _pair_scan(p, weights=None, radii=(), diam_sq=None, rows=None):
     """Exact squared diameter and the heaviest vertex-centred ball per radius.
 
@@ -123,6 +269,43 @@ def _pair_scan(p, weights=None, radii=(), diam_sq=None, rows=None):
     16-fold margin.  The masks, the sums that credit them and the slack
     stay float64.
 
+    Reuse.  A full scan that searched the near pairs leaves its
+    :class:`_BlockScan` in ``_last_scan``.  A later scan of as many points
+    with the same radii takes that record's bounds, order and near pairs
+    instead of running the block loop when three tests hold.  Scaled
+    quantities below are the record's.  Let delta be the largest vertex
+    displacement since the record, times its ``unit`` and rounded up; no
+    pair distance has changed by more than 2 delta.
+
+    * Balls.  A pair inside a ball of scaled radius r now was less than
+      r + 2 delta apart then, so its entry was below
+      (r + 2 delta)^2 + 27 u s and under the rounded threshold whenever
+      (r + 2 delta)^2 - r^2 <= band - 32 u s.  The test asks for half of
+      that, 4 delta (rho + delta) <= (band - 32 u s) / 2, at rho the
+      largest live radius; the other half holds the float64 rounding of
+      the new direct values, below 16 eps64 s.  When a radius was not
+      live (r^2 > 4 s + band), rho is the live limit sqrt(4 s + band),
+      at least twice the largest centroid distance, and the same test
+      keeps the new diameter squared under 4 s + band / 2: that ball
+      still holds every vertex, and both scans give the total at centre 0.
+    * Diameter.  A pair that is not near had e <= top - 2 band + 5 u s,
+      so a distance of at most sqrt(top - 2 band + 32 u s), and the
+      farthest near pair had sqrt(D) with D the record's scaled
+      ``diam_sq``.  With gap = sqrt(D - u s) - sqrt(top - 2 band + 33 u s),
+      where the extra u s on each side hold the float64 rounding of the
+      direct values, the farthest pair now is still a near pair when
+      4 delta <= gap; the test asks for 4 delta <= gap / 2.
+    * Weights.  A ball now holds at most its content under the record's
+      weights plus growth = sum(max(w - w_prev, 0)), so the slack gains
+      growth, grown by n eps64 for its own rounding, and covers the
+      rounding of sums of either weights.
+
+    Every test reads the call's own arguments against the record's
+    copies, and the recomputation phase returns the exact maximum and its
+    first centre under any valid bound: a stale or foreign record can
+    cost a block loop, never a returned bit, and a scan that reuses the
+    record leaves it in place.
+
     A caller that scans the same points again can pass their exact squared
     diameter ``diam_sq``, which skips the near-pair search, and a dict
     ``rows`` that keeps the direct rows between scans; neither changes a
@@ -131,17 +314,23 @@ def _pair_scan(p, weights=None, radii=(), diam_sq=None, rows=None):
     Returns (diam_sq, values, centres): the exact maximum and its first
     maximizing vertex per radius.
     """
+    global _last_scan
     n = p.shape[0]
-    radii_sq = [float(r) * float(r) for r in radii]
-    # every direct difference runs on one contiguous component-first copy
-    pt = np.ascontiguousarray(p.T)
-    qt = pt - pt.mean(axis=1, keepdims=True)
-    sq = _direct_sq(qt, 0.0)
-    scale = float(sq.max())
-    unit = math.ldexp(1.0, -(math.frexp(scale)[1] // 2))
-    unit_sq = unit * unit
-    s = scale * unit_sq
-    band = 256.0 * float(np.finfo(np.float32).eps) * s
+    radii_sq = tuple(float(r) * float(r) for r in radii)
+    # every direct difference runs on one contiguous component-first copy,
+    # which a record keeps
+    pt = np.array(p.T, order="C")
+    scan = _last_scan
+    growth = _weight_growth(scan, pt, weights, radii_sq)
+    if growth is None:
+        scan = _full_scan(pt, weights, radii_sq, diam_sq is None)
+        growth = 0.0
+        if diam_sq is None:
+            _last_scan = scan
+            diam_sq = scan.diam_sq
+    if diam_sq is None:
+        i, j = scan.near
+        diam_sq = float(np.max(_direct_sq(pt[:, i], pt[:, j])))
     exact_rows = {} if rows is None else rows
 
     def exact_sq(i):
@@ -149,61 +338,22 @@ def _pair_scan(p, weights=None, radii=(), diam_sq=None, rows=None):
             exact_rows[i] = _direct_sq(pt, pt[:, i, None])
         return exact_rows[i]
 
-    # no pair is farther apart than twice the largest centroid distance
-    live = [k for k, r_sq in enumerate(radii_sq)
-            if r_sq * unit_sq <= 4.0 * s + band]
-    thresholds = [np.float32(radii_sq[k] * unit_sq + band) for k in live]
-    # rows [q, |q|^2, 1] times columns [-2q, 1, |q|^2], scaled by unit
-    left = np.empty((n, 5), dtype=np.float32)
-    left[:, :3] = (unit * qt).T
-    left[:, 3] = unit_sq * sq
-    left[:, 4] = 1.0
-    right_t = np.empty((5, n), dtype=np.float32)
-    right_t[:3] = (-2.0 * unit) * qt
-    right_t[3] = 1.0
-    right_t[4] = left[:, 3]
-    entries = max(_BLOCK_BYTES // 8, n)
-    d2_buffer = np.empty(entries, dtype=np.float32)
-    inside_buffer = np.empty(entries)
-    upper = np.zeros((len(live), n))
-    top, near = -np.inf, []
-    # each pair once: rows lo:hi against columns lo:, credited to both ends
-    lo = 0
-    while lo < n:
-        width = n - lo
-        hi = min(n, lo + max(1, entries // width))
-        size = (hi - lo) * width
-        d2 = d2_buffer[:size].reshape(hi - lo, width)
-        inside = inside_buffer[:size].reshape(d2.shape)
-        np.matmul(left[lo:hi], right_t[:, lo:], out=d2)
-        if diam_sq is None:
-            block_top = float(d2.max())
-            if block_top >= top - 2.0 * band:
-                top = max(top, block_top)
-                pairs = np.divmod(
-                    np.flatnonzero(d2 >= np.float32(top - 2.0 * band)), width)
-                near.append((pairs[0] + lo, pairs[1] + lo))
-        for slot, threshold in enumerate(thresholds):
-            np.less(d2, threshold, out=inside)
-            upper[slot, lo:hi] += inside @ weights[lo:]
-            upper[slot, hi:] += weights[lo:hi] @ inside[:, hi - lo:]
-        lo = hi
-    if diam_sq is None:
-        i, j = (np.concatenate(ends) for ends in zip(*near))
-        diam_sq = float(np.max(_direct_sq(pt[:, i], pt[:, j])))
-
-    # covers the rounding of the bound's and the direct rule's sums
+    # covers the rounding of the bound's and the direct rule's sums, and
+    # the weight the record's bounds do not know of
+    eps = float(np.finfo(np.float64).eps)
     slack = 0.0 if weights is None else (
-        2.0 * n * np.finfo(np.float64).eps * float(weights.sum()))
+        2.0 * n * eps * max(float(weights.sum()), scan.total)
+        + (1.0 + n * eps) * growth)
     values = np.empty(len(radii_sq))
     centres = np.zeros(len(radii_sq), dtype=np.int64)
     for k, r_sq in enumerate(radii_sq):
-        if k not in live or r_sq > diam_sq:
+        if k not in scan.live or r_sq > diam_sq:
             values[k] = weights[exact_sq(0) < r_sq].sum()
             continue
-        bound = upper[live.index(k)]
+        slot = scan.live.index(k)
+        bound = scan.upper[slot]
         best, arg = -np.inf, 0
-        for c in np.argsort(-bound, kind="stable"):
+        for c in scan.order[slot]:
             if bound[c] + slack < best:
                 break
             value = weights[exact_sq(c) < r_sq].sum()
@@ -400,6 +550,11 @@ def record(state, cache, config):
     The diameter and every ``kappa`` column come from one pair scan: the
     diameter is exact and ``kappa[r]`` equals ``concentration(mesh, cache,
     r)`` bit for bit, by the direct rule ``sum((p_i - p_j)**2) < r*r``.
+    While the mesh holds still (same vertex count and radii, every vertex
+    within about 1e-6 of the mesh's extent of where the last full scan saw
+    it), the scan reuses that scan's bounds and costs one O(n) pass plus
+    the direct rows it recomputes: a row per step on a still mesh runs the
+    O(n^2) block loop once.
     ``min_face_quality`` is :func:`~vpwf.mesh.shape_quality` of the
     cache's face areas and squared edge lengths.
     """

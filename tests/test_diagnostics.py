@@ -1,14 +1,19 @@
 import tracemalloc
+from contextlib import contextmanager
+from functools import cache
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vpwf import diagnostics
 from vpwf.ddg import build_cache
 from vpwf.diagnostics import (
     _direct_sq,
+    _pair_scan,
     area_ratio,
     concentration,
     concentration_profile,
@@ -25,7 +30,7 @@ from vpwf.errors import (
     SingularFitError,
     ZeroVolumeError,
 )
-from vpwf.flow import FlowConfig, initial_state
+from vpwf.flow import FlowConfig, StopRule, initial_state, run
 from vpwf.functionals import wbar, willmore
 from vpwf.generators import ellipsoid, icosphere, perturbed_sphere, torus
 from vpwf.mesh import TriMesh
@@ -452,3 +457,130 @@ class TestPairScanProperties:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+
+@contextmanager
+def _scan_slot(scan):
+    """Run with ``scan`` as the latest block scan record, then restore."""
+    saved = diagnostics._last_scan
+    diagnostics._last_scan = scan
+    try:
+        yield
+    finally:
+        diagnostics._last_scan = saved
+
+
+@cache
+def _reuse_case(shape):
+    """Positions, weights and radii of one scan that a later scan follows."""
+    if shape == "cloud":
+        # near-coincident points with weights from a short list: contents
+        # tie and only the first-argmax rule decides
+        rng = np.random.default_rng(7)
+        points = rng.normal(size=(5, 3))[rng.integers(5, size=150)]
+        points += 1e-6 * rng.normal(size=points.shape)
+        return points, rng.choice([0.1, 0.3, 0.7], size=150), (0.3, 1.0)
+    mesh, radii = {
+        "sphere3": (icosphere(3), (0.5, 1.0, 3.0)),
+        "ellipsoid3": (ellipsoid(1.2, 1.0, 0.85, 3), (0.5, 4.0)),
+        # the tie meshes of test_level4_ties
+        "moved_sphere4": (TriMesh(icosphere(4).positions + [0.1, -0.3, 0.2],
+                                  icosphere(4).faces), (1.0, 3.0)),
+        "ellipsoid4": (ellipsoid(1.2, 1.0, 0.85, 4), (0.5, 1.0, 4.0)),
+    }[shape]
+    cache = build_cache(mesh)
+    return mesh.positions, cache.abs_A_sq * cache.mass, radii
+
+
+class TestScanReuse:
+    """A scan that follows another equals a fresh one; it reuses the
+    earlier block bounds only while the points hold still."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from(["sphere3", "ellipsoid3", "cloud",
+                               "moved_sphere4", "ellipsoid4"]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        log_move=st.one_of(st.none(), st.floats(-11.0, -3.0)),
+        weight_step=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]),
+        change=st.sampled_from(["none", "radii", "count"]),
+    )
+    def test_follow_up_equals_fresh_scan(self, shape, seed, log_move,
+                                         weight_step, change):
+        # displacements of 1e-11 to 1e-3 span the window in which the
+        # earlier bounds still hold (about 1e-6 here)
+        p0, w0, radii0 = _reuse_case(shape)
+        rng = np.random.default_rng(seed)
+        p, radii = p0.copy(), radii0
+        if log_move is not None:
+            p += 10.0 ** log_move * rng.normal(size=p.shape)
+        # weights move up and down
+        w = w0 * (1.0 + weight_step * rng.uniform(-1.0, 1.0, size=w0.shape))
+        if change == "radii":
+            radii = radii0[:-1] + (1.1 * radii0[-1],)
+        elif change == "count":
+            p, w = p[:-1], w[:-1]
+        with _scan_slot(None):
+            _pair_scan(p0, w0, radii0)
+            with mock.patch.object(diagnostics, "_block_bounds",
+                                   wraps=diagnostics._block_bounds) as spy:
+                follow = _pair_scan(p, w, radii)
+        with _scan_slot(None):
+            fresh = _pair_scan(p, w, radii)
+        assert follow[0] == fresh[0]
+        assert np.array_equal(follow[1], fresh[1])
+        assert np.array_equal(follow[2], fresh[2])
+        if log_move is None and change == "none":
+            assert spy.call_count == 0
+
+    def test_pair_overtaking_the_diameter(self):
+        # C-E starts just outside the near band of the farthest pair A-B;
+        # moving A, B in and C, E out by a quarter band makes C-E the
+        # diameter, a move the drift tests must refuse
+        band = 256.0 * float(np.finfo(np.float32).eps)
+        c = 0.5 * np.sqrt(4.0 - 3.0 * band)
+        p0 = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                       [0.0, -c, 0.0], [0.0, c, 0.0]])
+        p = p0 + 0.25 * band * np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                                         [0.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+        w = np.ones(4)
+        with _scan_slot(None):
+            _pair_scan(p0, w, (0.1,))
+            diam_sq, _, _ = _pair_scan(p, w, (0.1,))
+        assert diam_sq == _direct_sq(p[2], p[3]) > _direct_sq(p[0], p[1])
+        assert np.sqrt(diam_sq) == brute_force_diameter(p)
+
+    def test_foreign_record_changes_no_bit(self, sphere4):
+        # a record of other points with the same count and radii: the
+        # drift tests reject it and the scan runs its own block loop
+        mesh, cache = sphere4
+        weights = cache.abs_A_sq * cache.mass
+        moved = random_rigid_motion(mesh.positions, 3)
+        with _scan_slot(None):
+            _pair_scan(moved, weights, (1.0, 3.0))
+            follow = _pair_scan(mesh.positions, weights, (1.0, 3.0))
+        with _scan_slot(None):
+            fresh = _pair_scan(mesh.positions, weights, (1.0, 3.0))
+        assert follow[0] == fresh[0]
+        assert np.array_equal(follow[1], fresh[1])
+        assert np.array_equal(follow[2], fresh[2])
+
+    def _block_loops(self, monkeypatch, mesh, cadence, steps):
+        spy = mock.Mock(wraps=diagnostics._block_bounds)
+        monkeypatch.setattr(diagnostics, "_last_scan", None)
+        monkeypatch.setattr(diagnostics, "_block_bounds", spy)
+        config = FlowConfig(record_cadence=cadence, kappa_radii=(0.5, 3.0),
+                            stop=StopRule(max_steps=steps))
+        traj = run(mesh, config)
+        return len(traj.records), spy.call_count
+
+    def test_still_sphere_scans_once(self, monkeypatch):
+        # a row per step on a stationary sphere: only the t = 0 row runs
+        # the block loop
+        rows, loops = self._block_loops(monkeypatch, icosphere(3), 1, 49)
+        assert (rows, loops) == (50, 1)
+
+    def test_moving_mesh_scans_every_row(self, monkeypatch):
+        mesh = ellipsoid(1.2, 1.0, 0.85, 3)
+        rows, loops = self._block_loops(monkeypatch, mesh, 50, 150)
+        assert (rows, loops) == (4, 4)
