@@ -1,6 +1,6 @@
 import tracemalloc
 from contextlib import contextmanager
-from functools import cache
+from functools import lru_cache
 from types import SimpleNamespace
 from unittest import mock
 
@@ -470,7 +470,7 @@ def _scan_slot(scan):
         diagnostics._last_scan = saved
 
 
-@cache
+@lru_cache(maxsize=None)
 def _reuse_case(shape):
     """Positions, weights and radii of one scan that a later scan follows."""
     if shape == "cloud":
@@ -480,14 +480,17 @@ def _reuse_case(shape):
         points = rng.normal(size=(5, 3))[rng.integers(5, size=150)]
         points += 1e-6 * rng.normal(size=points.shape)
         return points, rng.choice([0.1, 0.3, 0.7], size=150), (0.3, 1.0)
-    mesh, radii = {
-        "sphere3": (icosphere(3), (0.5, 1.0, 3.0)),
-        "ellipsoid3": (ellipsoid(1.2, 1.0, 0.85, 3), (0.5, 4.0)),
+    if shape == "sphere3":
+        mesh, radii = icosphere(3), (0.5, 1.0, 3.0)
+    elif shape == "ellipsoid3":
+        mesh, radii = ellipsoid(1.2, 1.0, 0.85, 3), (0.5, 4.0)
+    elif shape == "moved_sphere4":
         # the tie meshes of test_level4_ties
-        "moved_sphere4": (TriMesh(icosphere(4).positions + [0.1, -0.3, 0.2],
-                                  icosphere(4).faces), (1.0, 3.0)),
-        "ellipsoid4": (ellipsoid(1.2, 1.0, 0.85, 4), (0.5, 1.0, 4.0)),
-    }[shape]
+        base = icosphere(4)
+        mesh = TriMesh(base.positions + [0.1, -0.3, 0.2], base.faces)
+        radii = (1.0, 3.0)
+    else:
+        mesh, radii = ellipsoid(1.2, 1.0, 0.85, 4), (0.5, 1.0, 4.0)
     cache = build_cache(mesh)
     return mesh.positions, cache.abs_A_sq * cache.mass, radii
 
