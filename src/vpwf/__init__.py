@@ -14,36 +14,22 @@ around it.  See README.md for the command-line interface.
 
 from .mesh import TriMesh, MeshTopologySummary, validate
 from .ddg import GeometryCache, build_cache
-from .functionals import (
-    EnergyReport,
-    area,
-    energy_report,
-    lagrange_multiplier,
-    scalar_willmore_gradient,
-    signed_volume,
-    wbar,
-    willmore,
-)
+from .functionals import lagrange_multiplier, signed_volume, wbar, willmore
 from .flow import (
     FlowConfig,
     FlowState,
     QualityConfig,
     StopRule,
     Trajectory,
-    choose_dt,
     initial_state,
-    quality_pass,
     run,
     step,
-    velocity,
-    volume_project,
 )
 from .diagnostics import (
     DiagnosticsRecord,
     concentration,
     concentration_radius,
     diameter,
-    diameter_check,
     isoperimetric_ratio,
     area_ratio,
     record,
@@ -61,14 +47,11 @@ from .generators import ellipsoid, icosphere, perturbed_sphere, torus
 __all__ = [
     "TriMesh", "MeshTopologySummary", "validate",
     "GeometryCache", "build_cache",
-    "EnergyReport", "area", "energy_report", "lagrange_multiplier",
-    "scalar_willmore_gradient", "signed_volume", "wbar", "willmore",
+    "lagrange_multiplier", "signed_volume", "wbar", "willmore",
     "FlowConfig", "FlowState", "QualityConfig", "StopRule", "Trajectory",
-    "choose_dt", "initial_state", "quality_pass", "run", "step",
-    "velocity", "volume_project",
+    "initial_state", "run", "step",
     "DiagnosticsRecord", "concentration", "concentration_radius",
-    "diameter", "diameter_check", "isoperimetric_ratio", "area_ratio",
-    "record", "sphere_fit",
+    "diameter", "isoperimetric_ratio", "area_ratio", "record", "sphere_fit",
     "BlowupWindow", "RescaleSpec", "blowup_window", "rescale_mesh",
     "rescale_trajectory",
     "ellipsoid", "icosphere", "perturbed_sphere", "torus",

@@ -30,8 +30,7 @@ from .errors import (
     MeshError,
     VpwfError,
 )
-from .flow import FlowConfig, QualityConfig, StopRule, initial_state, run
-from .functionals import energy_report
+from .flow import FlowConfig, FlowState, QualityConfig, StopRule, run
 from .generators import ellipsoid, icosphere, perturbed_sphere, torus
 from .mesh import validate
 from .rescale import RescaleSpec, rescale_mesh, rescale_record
@@ -222,14 +221,15 @@ def _flow_config(args):
     )
 
 
-def _print_report(title, rep):
+def _print_report(title, row):
+    """The global energies of a :class:`~vpwf.diagnostics.DiagnosticsRecord`."""
     print(title)
-    print("  area                = %.12g" % rep.area)
-    print("  signed volume       = %.12g" % rep.signed_volume)
-    print("  willmore            = %.12g" % rep.willmore)
-    print("  wbar                = %.12g" % rep.wbar)
-    print("  gauss-bonnet defect = %.12g" % rep.gauss_bonnet_defect)
-    print("  lambda              = %.12g" % rep.lam)
+    print("  area                = %.12g" % row.area)
+    print("  signed volume       = %.12g" % row.volume)
+    print("  willmore            = %.12g" % row.willmore)
+    print("  wbar                = %.12g" % row.wbar)
+    print("  gauss-bonnet defect = %.12g" % row.gauss_bonnet_defect)
+    print("  lambda              = %.12g" % row.lam)
 
 
 def _print_sphere_fit(mesh, cache):
@@ -286,8 +286,8 @@ def cmd_simulate(args):
     state = traj.final_state
     print("stop reason: %s after %d steps (t = %.9g)"
           % (traj.stop_reason, state.step_index, state.time))
-    _print_report("final energies:",
-                  energy_report(state.mesh, state.cache))
+    # run always records the final state, so the last row is its row
+    _print_report("final energies:", traj.records[-1])
     _print_sphere_fit(state.mesh, state.cache)
     return EXIT_OK
 
@@ -296,14 +296,10 @@ def cmd_analyze(args):
     mesh = _load_mesh(args.input)
     validate(mesh)
     cache = build_cache(mesh)
-    state = initial_state(mesh, cache)
-
-    class _RadiiConfig:
-        kappa_radii = tuple(args.kappa_radii)
-
-    row = make_record(state, cache, _RadiiConfig)
+    row = make_record(FlowState(mesh=mesh), cache,
+                      FlowConfig(kappa_radii=tuple(args.kappa_radii)))
     print("diagnostics for %s:" % args.input)
-    _print_report("energies:", energy_report(mesh, cache))
+    _print_report("energies:", row)
     print("  diameter            = %.12g (bound %.12g)"
           % (row.diameter, row.diameter_bound))
     print("  isoperimetric ratio = %.12g" % row.isoperimetric_ratio)

@@ -43,6 +43,9 @@ from .mesh import bounding_box_extent, shape_quality
 
 LI_YAU_THRESHOLD = 8.0 * np.pi
 
+# bisection tolerance of concentration_radius, relative to the diameter
+RADIUS_REL_TOL = 1e-6
+
 # bytes of the float64 mask of one block of the pair matrix; a block has as
 # many rows as fit, and with its float32 products it fills 3/8 of a 2 MiB
 # L2 cache (larger and smaller blocks both measured slower)
@@ -51,7 +54,11 @@ _BLOCK_BYTES = 1 << 19
 
 @dataclass
 class DiagnosticsRecord:
-    """One time-series row of every monitored scalar."""
+    """One time-series row of every monitored scalar.
+
+    ``gauss_bonnet_defect`` is wbar - (2*willmore - 4*pi*chi): the mass the
+    nonnegativity clamp on |A0|^2 removes, which shrinks under refinement.
+    """
 
     t: float
     area: float
@@ -399,11 +406,11 @@ def total_curvature_energy(cache):
     return float(np.sum(cache.abs_A_sq * cache.mass))
 
 
-def concentration_radius(mesh, cache, threshold, rel_tol=1e-6):
+def concentration_radius(mesh, cache, threshold):
     """Largest radius whose concentration stays below ``threshold``.
 
     Bisection on the monotone map r -> kappa(r) to an absolute radius
-    tolerance of ``rel_tol`` times the diameter.
+    tolerance of ``RADIUS_REL_TOL`` times the diameter.
 
     Raises
     ------
@@ -426,7 +433,7 @@ def concentration_radius(mesh, cache, threshold, rel_tol=1e-6):
     # carry over, so each probe costs one bounded scan
     rows = {}
     lo, hi = 0.0, 1.0000001 * diam
-    tol = rel_tol * diam
+    tol = RADIUS_REL_TOL * diam
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         _, values, _ = _pair_scan(mesh.positions, weights, [mid], diam_sq,
@@ -462,18 +469,6 @@ def _diameter_sq(p):
 def diameter_bound(area, willmore_energy):
     """(2/pi) * sqrt(area * willmore); an upper bound for the diameter."""
     return (2.0 / np.pi) * np.sqrt(area * willmore_energy)
-
-
-def diameter_check(mesh, willmore_energy, area):
-    """Evaluate the diameter inequality; returns (diameter, bound, ok).
-
-    ``area`` is the mesh's total area, a cache's ``total_area``.  The bound
-    gets a 1e-9 multiplicative slack to absorb roundoff; the inequality
-    itself carries the explicit constant 2/pi.
-    """
-    d = diameter(mesh)
-    bound = diameter_bound(area, willmore_energy)
-    return d, bound, d <= bound * (1.0 + 1e-9)
 
 
 def isoperimetric_ratio(area, volume):
@@ -561,8 +556,8 @@ def record(state, cache, config):
     mesh = state.mesh
     area = cache.total_area
     volume = signed_volume(mesh)
-    w = willmore(mesh, cache)
-    wb = wbar(mesh, cache)
+    w = willmore(cache)
+    wb = wbar(cache)
     chi = mesh.topology().euler_characteristic
     lam = lagrange_multiplier(cache)
     radii = tuple(config.kappa_radii)

@@ -43,6 +43,7 @@ from .mesh import (
 from . import ddg
 
 MAX_HALVINGS = 20
+MAX_PROJECTION_ITERATIONS = 50
 
 # failures of a trial's geometry that a smaller step can avoid: the step
 # rejects the trial and retries with half the step, as for an energy rise
@@ -150,7 +151,7 @@ def initial_state(mesh, cache=None):
         mesh=mesh,
         target_volume=signed_volume(mesh),
         cache=cache,
-        rates=_rates(cache, wbar(mesh, cache)),
+        rates=_rates(cache, wbar(cache)),
     )
 
 
@@ -191,14 +192,14 @@ def choose_dt(cache, config, max_speed):
     return dt
 
 
-def volume_project(mesh, normals, target_volume, tol, total_area,
-                   max_iterations=50):
+def volume_project(mesh, normals, target_volume, tol, total_area):
     """Move vertices along ``normals`` so the signed volume hits the target.
 
     Newton iteration on c -> V(f + c*nu) with the first-variation derivative
     dV/dc = -A, ``total_area`` being the area A of ``mesh``, safeguarded by
-    a residual-decrease check.  The projection is a small correction: it
-    refuses to bridge volume errors of 50% or more.
+    a residual-decrease check, for at most ``MAX_PROJECTION_ITERATIONS``
+    iterations.  The projection is a small correction: it refuses to bridge
+    volume errors of 50% or more.
 
     Returns (projected mesh, its corners), the corners in the
     :func:`~vpwf.mesh.gather_corners` layout, ready for
@@ -217,7 +218,7 @@ def volume_project(mesh, normals, target_volume, tol, total_area,
         return mesh, corners
     c = 0.0
     best = rel
-    for _ in range(max_iterations):
+    for _ in range(MAX_PROJECTION_ITERATIONS):
         # dV/dc = -A for motion along the inward-positive normal
         c += (v - target_volume) / total_area
         projected = mesh.with_positions(mesh.positions + c * normals)
@@ -236,21 +237,28 @@ def volume_project(mesh, normals, target_volume, tol, total_area,
 
 
 def _advance(state, cache, xi, dt, config):
-    """Move, project, rebuild geometry; returns (mesh, cache, wbar)."""
+    """Move by dt * xi along the normals, then :func:`_settle`."""
     moved = state.mesh.with_positions(
         state.mesh.positions + dt * xi[:, None] * cache.normals
     )
+    return _settle(moved, cache.normals, state.target_volume, config,
+                   cache.total_area)
+
+
+def _settle(mesh, normals, target_volume, config, total_area):
+    """Project a proposal onto the target volume and rebuild its geometry.
+
+    ``normals`` and ``total_area`` are what :func:`volume_project` moves
+    along and divides by.  Returns (mesh, cache, wbar); raises one of
+    ``_TRIAL_FAILURES`` when the proposal's geometry fails.
+    """
     projected, corners = volume_project(
-        moved, cache.normals, state.target_volume, config.projection_tol,
-        cache.total_area,
+        mesh, normals, target_volume, config.projection_tol, total_area,
     )
-    trial_cache = build_cache(projected, corners=corners)
-    if not (
-        np.isfinite(trial_cache.H).all()
-        and np.isfinite(trial_cache.lap_H).all()
-    ):
+    cache = build_cache(projected, corners=corners)
+    if not (np.isfinite(cache.H).all() and np.isfinite(cache.lap_H).all()):
         raise NonFiniteError("curvature blow-up after step")
-    return projected, trial_cache, wbar(projected, trial_cache)
+    return projected, cache, wbar(cache)
 
 
 def _no_energy_rise(before, after, config):
@@ -267,8 +275,10 @@ def step(state, config):
     monotone-energy rule, or whose geometry fails (``_TRIAL_FAILURES``), is
     retried with half the step, up to ``MAX_HALVINGS`` halvings.  When the
     quality cadence falls on the step, the mesh-maintenance pass runs on
-    the accepted trial and is kept if it raises no energy either.  The
-    returned state carries the rates of its own cache.
+    the accepted trial and is kept if it raises no energy either; a pass
+    that fails (``QualityCollapseError`` or ``_TRIAL_FAILURES``) is
+    skipped like one that raises the energy.  The returned state carries
+    the rates of its own cache.
     """
     cache = state.cache
     lam, xi, max_speed, wb = state.rates
@@ -304,20 +314,21 @@ def step(state, config):
         and config.quality.cadence_steps > 0
         and step_index % config.quality.cadence_steps == 0
     ):
-        improved, face_data = quality_pass(mesh, config, trial_cache)
-        improved, corners = volume_project(
-            improved, ddg.vertex_normals(improved, face_data),
-            state.target_volume, config.projection_tol,
-            float(np.sum(face_data[0])),
-        )
-        improved_cache = build_cache(improved, corners=corners)
-        wb_improved = wbar(improved, improved_cache)
-        # mesh maintenance must not break the monotone-energy contract;
-        # an energy-raising pass is skipped rather than applied
-        if _no_energy_rise(wb_trial, wb_improved, config):
-            mesh, trial_cache, wb_trial = (
-                improved, improved_cache, wb_improved
+        # mesh maintenance must not break the monotone-energy contract; a
+        # pass that fails or raises the energy is skipped rather than applied
+        try:
+            improved, face_data = quality_pass(mesh, config, trial_cache)
+            improved, improved_cache, wb_improved = _settle(
+                improved, ddg.vertex_normals(improved, face_data),
+                state.target_volume, config, float(np.sum(face_data[0])),
             )
+        except (QualityCollapseError,) + _TRIAL_FAILURES:
+            pass
+        else:
+            if _no_energy_rise(wb_trial, wb_improved, config):
+                mesh, trial_cache, wb_trial = (
+                    improved, improved_cache, wb_improved
+                )
 
     return FlowState(
         mesh=mesh,

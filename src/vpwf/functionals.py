@@ -1,39 +1,15 @@
 """Global energies, the volume constraint and the Lagrange multiplier.
 
 The bending energy here is the integrated squared norm of the trace-free
-second fundamental form (wbar); it differs from four times the integrated
-squared-mean-curvature energy only by the topological constant 4*pi*chi,
-and both are reported.  The signed volume follows the convention that the
-inward normal gives positive volume.
+second fundamental form (wbar); it differs from twice the Willmore energy
+W = integral(H^2) / 4 only by the topological constant 4*pi*chi, and both
+are columns of the diagnostics row.  The signed volume follows the
+convention that the inward normal gives positive volume.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import face_geometry, gather_corners, tet_volume
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """All global scalars of one mesh snapshot.
-
-    ``gauss_bonnet_defect`` is wbar - (2*willmore - 4*pi*chi); it is exactly
-    the mass removed by the nonnegativity clamp on |A0|^2 and shrinks under
-    refinement.
-    """
-
-    area: float
-    signed_volume: float
-    willmore: float
-    wbar: float
-    gauss_bonnet_defect: float
-    lam: float
-
-
-def area(mesh):
-    """Total surface area; a cache carries it as ``total_area``."""
-    return float(np.sum(face_geometry(mesh)[0]))
+from .mesh import gather_corners, tet_volume
 
 
 def signed_volume(mesh):
@@ -46,12 +22,12 @@ def signed_volume(mesh):
     return tet_volume(gather_corners(mesh))
 
 
-def willmore(mesh, cache):
+def willmore(cache):
     """Quarter of the integrated squared mean curvature."""
     return 0.25 * float(np.sum(cache.H ** 2 * cache.mass))
 
 
-def wbar(mesh, cache):
+def wbar(cache):
     """Integrated squared norm of the trace-free second fundamental form."""
     return float((cache.tracefree_sq * cache.mass).sum())
 
@@ -93,18 +69,3 @@ def translation_defect(cache):
     vec = np.sum(grad[:, None] * cache.normals * cache.mass[:, None], axis=0)
     return float(np.linalg.norm(vec))
 
-
-def energy_report(mesh, cache):
-    """Assemble the full :class:`EnergyReport` for one mesh."""
-    a = cache.total_area
-    w = willmore(mesh, cache)
-    wb = wbar(mesh, cache)
-    chi = mesh.topology().euler_characteristic
-    return EnergyReport(
-        area=a,
-        signed_volume=signed_volume(mesh),
-        willmore=w,
-        wbar=wb,
-        gauss_bonnet_defect=wb - (2.0 * w - 4.0 * np.pi * chi),
-        lam=lagrange_multiplier(cache),
-    )

@@ -78,7 +78,7 @@ class MeshTopologySummary:
 
 
 class TriMesh:
-    """Indexed triangle mesh with derived edge table built on demand.
+    """Indexed triangle mesh; topology and operator structures are cached.
 
     Parameters
     ----------
@@ -106,7 +106,6 @@ class TriMesh:
         faces.setflags(write=False)
         self.positions = positions
         self.faces = faces
-        self._edges = None
         self._topology = None
         self._area_floor = None
         self._conn = None  # operator index structures, built by ddg
@@ -123,23 +122,9 @@ class TriMesh:
         """Successor mesh with identical connectivity and new coordinates."""
         out = TriMesh(positions, self.faces)
         # connectivity-derived caches stay valid
-        out._edges = self._edges
         out._topology = self._topology
         out._conn = self._conn
         return out
-
-    def edges(self):
-        """Return the (e, 2) array of undirected edges, i < j, sorted.
-
-        Built on demand and cached; connectivity never changes behind the
-        mesh's back, so the cache cannot go stale.
-        """
-        if self._edges is None:
-            f = self.faces
-            pairs = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-            pairs.sort(axis=1)
-            self._edges = np.unique(pairs, axis=0)
-        return self._edges
 
     def bounding_box_diagonal(self):
         return float(np.linalg.norm(bounding_box_extent(self.positions)))

@@ -113,7 +113,7 @@ def test_criterion_2_ellipsoid_convergence(ellipsoid_run):
     traj, elapsed = ellipsoid_run
     state = traj.final_state
     target_radius = (3.0 * state.target_volume / (4.0 * np.pi)) ** (1.0 / 3.0)
-    w_final = willmore(state.mesh, state.cache)
+    w_final = willmore(state.cache)
     _, radius, rms, _ = sphere_fit(state.mesh, state.cache.mass)
     ok = (
         traj.stop_reason in ("speed_tol", "wbar_tol")
@@ -175,7 +175,7 @@ def test_criterion_4_gauss_bonnet():
         worst = max(worst, abs(total - 2 * np.pi * chi))
         if name.startswith("icosphere"):
             defects.append(abs(
-                wbar(mesh, cache) - 2 * willmore(mesh, cache) + 4 * np.pi * chi
+                wbar(cache) - 2 * willmore(cache) + 4 * np.pi * chi
             ))
     monotone = defects[0] > defects[1] > defects[2]
     ok = worst <= 1e-9 and monotone
@@ -190,7 +190,7 @@ def test_criterion_5_curvature_convergence(sphere3, sphere4, sphere5):
         errors["H"].append(np.max(np.abs(cache.H - 2.0) / 2.0))
         errors["K"].append(np.max(np.abs(cache.K - 1.0)))
         errors["W"].append(
-            abs(willmore(mesh, cache) - 4 * np.pi) / (4 * np.pi))
+            abs(willmore(cache) - 4 * np.pi) / (4 * np.pi))
         errors["A"].append(abs(cache.total_area - 4 * np.pi) / (4 * np.pi))
         errors["V"].append(
             abs(signed_volume(mesh) - 4 * np.pi / 3) / (4 * np.pi / 3))
@@ -249,7 +249,7 @@ def test_criterion_6_gradient_consistency(sphere4):
         minus = TriMesh(mesh.positions - eps * phi[:, None] * cache.normals,
                         mesh.faces)
         sphere_fds.append(abs(
-            wbar(plus, build_cache(plus)) - wbar(minus, build_cache(minus))
+            wbar(build_cache(plus)) - wbar(build_cache(minus))
         ) / (2 * eps))
     stationary = max(max(sphere_preds), max(sphere_fds)) <= 1e-3
 
@@ -271,8 +271,8 @@ def test_criterion_6_gradient_consistency(sphere4):
                 minus = TriMesh(
                     emesh.positions - eps * phi[:, None] * ecache.normals,
                     emesh.faces)
-                fd = (wbar(plus, build_cache(plus))
-                      - wbar(minus, build_cache(minus))) / (2 * eps)
+                fd = (wbar(build_cache(plus))
+                      - wbar(build_cache(minus))) / (2 * eps)
                 best = min(best, abs(fd - pred) / max(abs(fd), abs(pred)))
             worst = max(worst, best)
         worst_w[level] = worst
@@ -302,11 +302,11 @@ def test_criterion_7_scaling_invariants(ellipsoid_run):
     mesh = ellipsoid(1.2, 1.0, 0.85, 4)
     cache = build_cache(mesh)
     lam = lagrange_multiplier(cache)
-    w = willmore(mesh, cache)
+    w = willmore(cache)
     for rho in (0.5, 2.0):
         scaled_mesh = rescale_mesh(mesh, RescaleSpec(rho=rho))
         scaled_cache = build_cache(scaled_mesh)
-        ok = ok and abs(willmore(scaled_mesh, scaled_cache) - w) <= 1e-12 * w
+        ok = ok and abs(willmore(scaled_cache) - w) <= 1e-12 * w
         lam_scaled = lagrange_multiplier(scaled_cache)
         ok = ok and abs(lam_scaled - rho ** 3 * lam) <= 0.01 * abs(
             rho ** 3 * lam)
@@ -370,8 +370,8 @@ def test_criterion_10_total_curvature_identity(sphere3, sphere4, sphere5):
     for mesh, cache in (sphere3, sphere4, sphere5):
         total = float(np.sum(cache.abs_A_sq * cache.mass))
         chi = 2
-        target = 4.0 * willmore(mesh, cache) - 4.0 * np.pi * chi
-        defect = abs(wbar(mesh, cache) - 2 * willmore(mesh, cache)
+        target = 4.0 * willmore(cache) - 4.0 * np.pi * chi
+        defect = abs(wbar(cache) - 2 * willmore(cache)
                      + 4 * np.pi * chi)
         gap = abs(total - target)
         gaps.append(gap)

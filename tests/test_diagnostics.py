@@ -19,7 +19,7 @@ from vpwf.diagnostics import (
     concentration_profile,
     concentration_radius,
     diameter,
-    diameter_check,
+    diameter_bound,
     isoperimetric_ratio,
     record,
     sphere_fit,
@@ -30,8 +30,13 @@ from vpwf.errors import (
     SingularFitError,
     ZeroVolumeError,
 )
-from vpwf.flow import FlowConfig, StopRule, initial_state, run
-from vpwf.functionals import wbar, willmore
+from vpwf.flow import FlowConfig, FlowState, StopRule, initial_state, run
+from vpwf.functionals import (
+    lagrange_multiplier,
+    signed_volume,
+    wbar,
+    willmore,
+)
 from vpwf.generators import ellipsoid, icosphere, perturbed_sphere, torus
 from vpwf.mesh import TriMesh
 
@@ -51,7 +56,7 @@ class TestConcentration:
         total = total_curvature_energy(cache)
         assert value == pytest.approx(total, rel=1e-12)
         assert value == pytest.approx(
-            wbar(mesh, cache) + 2.0 * willmore(mesh, cache), rel=1e-12
+            wbar(cache) + 2.0 * willmore(cache), rel=1e-12
         )
         assert value == pytest.approx(8 * np.pi, rel=0.01)
 
@@ -168,16 +173,12 @@ class TestDiameter:
 
     def test_diameter_inequality(self, sphere4, ellipsoid4, torus_mesh):
         for mesh, cache in (sphere4, ellipsoid4, torus_mesh):
-            d, bound, ok = diameter_check(
-                mesh, willmore(mesh, cache), cache.total_area
-            )
-            assert ok
-            assert d <= bound * (1 + 1e-9)
+            bound = diameter_bound(cache.total_area, willmore(cache))
+            assert diameter(mesh) <= bound * (1 + 1e-9)
 
     def test_sphere_closed_form_bound(self, sphere4):
         mesh, cache = sphere4
-        _, bound, _ = diameter_check(mesh, willmore(mesh, cache),
-                                     cache.total_area)
+        bound = diameter_bound(cache.total_area, willmore(cache))
         # (2/pi) sqrt(4pi * 4pi) = 8 for the unit sphere
         assert bound == pytest.approx(8.0, rel=5e-3)
 
@@ -316,6 +317,17 @@ class TestRecord:
         assert abs(row.gauss_bonnet_defect) == pytest.approx(
             abs(row.wbar - 2 * row.willmore), rel=1e-12
         )
+
+    def test_energy_columns_consistent(self, ellipsoid4):
+        mesh, cache = ellipsoid4
+        row = record(FlowState(mesh=mesh), cache, FlowConfig())
+        assert row.gauss_bonnet_defect == pytest.approx(
+            row.wbar - (2 * row.willmore - 4 * np.pi * 2), abs=1e-12
+        )
+        assert row.lam == pytest.approx(lagrange_multiplier(cache), rel=1e-14)
+        assert row.area == cache.total_area
+        assert row.volume == signed_volume(mesh)
+        assert (row.willmore, row.wbar) == (willmore(cache), wbar(cache))
 
 
 def _assert_scan_exact(positions, weights, radii):

@@ -23,7 +23,7 @@ from vpwf.flow import (
     velocity,
     volume_project,
 )
-from vpwf.functionals import area, lagrange_multiplier, signed_volume, wbar
+from vpwf.functionals import lagrange_multiplier, signed_volume, wbar
 from vpwf.generators import ellipsoid, icosphere, perturbed_sphere, torus
 from vpwf.mesh import TriMesh, face_geometry, validate
 
@@ -122,7 +122,7 @@ class TestVolumeProject:
         inflated = TriMesh(1.01 * mesh.positions, mesh.faces)
         normals = vertex_normals(inflated, face_geometry(inflated))
         projected, _ = volume_project(inflated, normals, target, 1e-10,
-                                      area(inflated))
+                                      face_geometry(inflated)[0].sum())
         achieved = signed_volume(projected)
         assert abs(achieved - target) <= 1e-10 * abs(target)
         moved = np.linalg.norm(projected.positions - inflated.positions,
@@ -149,7 +149,7 @@ class TestVolumeProject:
         )
         projected, _ = volume_project(
             offset, vertex_normals(offset, face_geometry(offset)), target,
-            tol, area(offset))
+            tol, face_geometry(offset)[0].sum())
         assert abs(signed_volume(projected) - target) <= tol * abs(target)
 
     def test_rejects_large_errors(self, sphere3):
@@ -179,12 +179,12 @@ class TestStep:
         mesh = ellipsoid(1.2, 1.0, 0.85, 2)
         config = FlowConfig()
         state = initial_state(mesh, build_cache(mesh))
-        values = [wbar(state.mesh, state.cache)]
-        w_values = [willmore(state.mesh, state.cache)]
+        values = [wbar(state.cache)]
+        w_values = [willmore(state.cache)]
         for _ in range(10):
             state = step(state, config)
-            values.append(wbar(state.mesh, state.cache))
-            w_values.append(willmore(state.mesh, state.cache))
+            values.append(wbar(state.cache))
+            w_values.append(willmore(state.cache))
         for before, after in zip(values, values[1:]):
             assert after <= before + 1e-6 * max(1.0, before)
         assert values[-1] < values[0]
@@ -224,7 +224,7 @@ class TestStep:
             wb = before.rates.wbar
             assert wb_trial > wb + config.dissipation_tol * max(1.0, wb)
         # the accepted state never carries an undetected energy blow-up
-        assert np.isfinite(wbar(state.mesh, state.cache))
+        assert np.isfinite(wbar(state.cache))
 
     @pytest.mark.parametrize("amplitude, dt", [(0.3, 0.1), (0.08, 0.3)])
     def test_trial_geometry_failure_is_rejected(
@@ -245,8 +245,8 @@ class TestStep:
         assert after.last_dt == dt * 0.5 ** after.last_halvings
         target = state.target_volume
         assert abs(signed_volume(after.mesh) - target) <= 1e-10 * target
-        before = wbar(mesh, state.cache)
-        assert wbar(after.mesh, after.cache) <= before + 1e-6 * max(1.0, before)
+        before = wbar(state.cache)
+        assert wbar(after.cache) <= before + 1e-6 * max(1.0, before)
 
     def test_persistent_trial_failure_names_its_cause(self, monkeypatch):
         from vpwf import flow
@@ -290,6 +290,38 @@ class TestStep:
         assert np.array_equal(a.mesh.positions, b.mesh.positions)
         assert a.time == b.time
         assert a.accum_L43 == b.accum_L43
+
+    @pytest.mark.parametrize("failure", ["collapse", "projection"])
+    def test_failing_quality_pass_is_skipped(self, monkeypatch, failure):
+        # a pass whose quality check or re-projection fails is skipped like
+        # an energy-raising one: the run equals the run without passes
+        from vpwf import flow
+
+        if failure == "collapse":
+            quality = QualityConfig(enabled=True, cadence_steps=1,
+                                    min_quality=0.99)
+        else:
+            quality = QualityConfig(enabled=True, cadence_steps=1)
+            pass_fn = flow.quality_pass
+
+            def inflate(mesh, config, cache):
+                # twice the size is past what the projection bridges
+                out, _ = pass_fn(mesh, config, cache)
+                out = out.with_positions(2.0 * out.positions)
+                return out, face_geometry(out)
+
+            monkeypatch.setattr(flow, "quality_pass", inflate)
+        mesh = ellipsoid(1.2, 1.0, 0.85, 2)
+        stop = StopRule(max_steps=5)
+        kept = run(mesh, FlowConfig(quality=quality, stop=stop))
+        plain = run(mesh, FlowConfig(stop=stop))
+        a, b = kept.final_state, plain.final_state
+        assert a.step_index == 5
+        assert np.array_equal(a.mesh.positions, b.mesh.positions)
+        assert np.array_equal(a.mesh.faces, b.mesh.faces)
+        assert (a.time, a.accum_L43, a.accum_L2A, a.rates.wbar) == (
+            b.time, b.accum_L43, b.accum_L2A, b.rates.wbar)
+        assert kept.records == plain.records
 
 
 class TestQualityPass:
@@ -489,7 +521,7 @@ class TestRun:
         config = FlowConfig(stop=StopRule(wbar_tol=0.05, max_steps=20000))
         traj = run(mesh, config)
         assert traj.stop_reason == "wbar_tol"
-        assert wbar(traj.final_state.mesh, traj.final_state.cache) < 0.05
+        assert wbar(traj.final_state.cache) < 0.05
 
     def test_failure_attaches_last_state(self):
         # a micron-scale mesh pushes the h^4 heuristic below the dt floor
@@ -564,7 +596,7 @@ class TestOneStep:
             assert state.rates.lam == lam
             assert np.array_equal(state.rates.xi, xi)
             assert state.rates.max_speed == float(np.abs(xi).max())
-            assert state.rates.wbar == wbar(state.mesh, cache)
+            assert state.rates.wbar == wbar(cache)
 
     def test_step_builds_smoothed_face_data_once(self, monkeypatch):
         # the quality pass hands the face data of its output mesh to the

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from vpwf.ddg import build_cache
+from vpwf.diagnostics import record
+from vpwf.flow import FlowConfig, FlowState
 from vpwf.functionals import (
-    area,
-    energy_report,
     lagrange_multiplier,
     scalar_willmore_gradient,
     scale_defect,
@@ -14,7 +14,7 @@ from vpwf.functionals import (
     willmore,
 )
 from vpwf.generators import ellipsoid, icosphere, perturbed_sphere
-from vpwf.mesh import TriMesh
+from vpwf.mesh import TriMesh, face_geometry
 
 from oracles import (
     ellipsoid_quadrature,
@@ -37,7 +37,8 @@ def rotated(mesh, seed=0):
 class TestAreaVolume:
     def test_octahedron_closed_forms(self):
         mesh = octahedron()
-        assert area(mesh) == pytest.approx(4 * np.sqrt(3), rel=1e-14)
+        assert face_geometry(mesh)[0].sum() == pytest.approx(4 * np.sqrt(3),
+                                                             rel=1e-14)
         assert signed_volume(mesh) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
     def test_sphere_quadrature(self, sphere4):
@@ -61,7 +62,9 @@ class TestAreaVolume:
     def test_scaling_laws(self, sphere3):
         mesh, _ = sphere3
         scaled = TriMesh(1.7 * mesh.positions, mesh.faces)
-        assert area(scaled) == pytest.approx(1.7 ** 2 * area(mesh), rel=1e-13)
+        assert face_geometry(scaled)[0].sum() == pytest.approx(
+            1.7 ** 2 * face_geometry(mesh)[0].sum(), rel=1e-13
+        )
         assert signed_volume(scaled) == pytest.approx(
             1.7 ** 3 * signed_volume(mesh), rel=1e-13
         )
@@ -70,47 +73,44 @@ class TestAreaVolume:
 class TestEnergies:
     def test_sphere_willmore(self, sphere4):
         mesh, cache = sphere4
-        assert willmore(mesh, cache) == pytest.approx(4 * np.pi, rel=0.01)
+        assert willmore(cache) == pytest.approx(4 * np.pi, rel=0.01)
 
     def test_willmore_scale_invariant(self, ellipsoid4):
         mesh, cache = ellipsoid4
         scaled = TriMesh(3.1 * mesh.positions, mesh.faces)
-        assert willmore(scaled, build_cache(scaled)) == pytest.approx(
-            willmore(mesh, cache), rel=1e-12
+        assert willmore(build_cache(scaled)) == pytest.approx(
+            willmore(cache), rel=1e-12
         )
 
     def test_rigid_motion_invariance(self, ellipsoid4):
         mesh, cache = ellipsoid4
         moved = rotated(mesh)
-        report = energy_report(mesh, cache)
-        moved_report = energy_report(moved, build_cache(moved))
-        assert moved_report.willmore == pytest.approx(
-            report.willmore, rel=1e-10
-        )
-        assert moved_report.wbar == pytest.approx(report.wbar, rel=1e-10)
-        assert moved_report.signed_volume == pytest.approx(
-            report.signed_volume, rel=1e-10
-        )
+        moved_cache = build_cache(moved)
+        assert willmore(moved_cache) == pytest.approx(willmore(cache),
+                                                      rel=1e-10)
+        assert wbar(moved_cache) == pytest.approx(wbar(cache), rel=1e-10)
+        assert signed_volume(moved) == pytest.approx(signed_volume(mesh),
+                                                     rel=1e-10)
 
     def test_sphere_wbar_floor(self, sphere4):
         mesh, cache = sphere4
-        assert wbar(mesh, cache) <= 1e-2
+        assert wbar(cache) <= 1e-2
 
     def test_ellipsoid_against_quadrature(self, ellipsoid4):
         mesh, cache = ellipsoid4
         oracle = ellipsoid_quadrature(1.2, 1.0, 0.85)
-        assert willmore(mesh, cache) == pytest.approx(
+        assert willmore(cache) == pytest.approx(
             oracle["willmore"], rel=5e-3
         )
-        assert wbar(mesh, cache) == pytest.approx(oracle["wbar"], rel=0.05)
-        w = willmore(mesh, cache)
-        wb = wbar(mesh, cache)
+        assert wbar(cache) == pytest.approx(oracle["wbar"], rel=0.05)
+        w = willmore(cache)
+        wb = wbar(cache)
         assert 0 < wb < 2 * w
         assert 4 * np.pi < w < 8 * np.pi
 
     def test_wbar_equals_tracefree_quadrature(self, ellipsoid4):
         mesh, cache = ellipsoid4
-        assert wbar(mesh, cache) == pytest.approx(
+        assert wbar(cache) == pytest.approx(
             float(np.sum(cache.tracefree_sq * cache.mass)), rel=1e-15
         )
 
@@ -118,9 +118,9 @@ class TestEnergies:
         defects = []
         for level in (3, 4, 5):
             mesh = icosphere(level)
-            cache = build_cache(mesh)
-            rep = energy_report(mesh, cache)
-            defects.append(abs(rep.gauss_bonnet_defect))
+            row = record(FlowState(mesh=mesh), build_cache(mesh),
+                         FlowConfig())
+            defects.append(abs(row.gauss_bonnet_defect))
         assert defects[0] > defects[1] > defects[2]
 
     @pytest.mark.parametrize("make", [
@@ -132,11 +132,10 @@ class TestEnergies:
     def test_genus_zero_energy_floor(self, make):
         # W >= 4pi - 0.05; the bare level-3 icosphere misses this bound by
         # its inscribed-area deficit (~0.06) and is deliberately excluded
-        mesh = make()
-        rep = energy_report(mesh, build_cache(mesh))
-        assert rep.willmore >= 4 * np.pi - 0.05
-        assert rep.wbar >= 0.0
-        assert rep.area > 0.0
+        cache = build_cache(make())
+        assert willmore(cache) >= 4 * np.pi - 0.05
+        assert wbar(cache) >= 0.0
+        assert cache.total_area > 0.0
 
 
 class TestGradients:
@@ -188,8 +187,8 @@ class TestGradients:
                     minus = TriMesh(
                         mesh.positions - eps * phi[:, None] * cache.normals,
                         mesh.faces)
-                    fd = (wbar(plus, build_cache(plus))
-                          - wbar(minus, build_cache(minus))) / (2 * eps)
+                    fd = (wbar(build_cache(plus))
+                          - wbar(build_cache(minus))) / (2 * eps)
                     best = min(best,
                                abs(fd - pred) / max(abs(fd), abs(pred)))
                 worst = max(worst, best)
@@ -254,13 +253,3 @@ class TestScaleDefect:
         shifted = scale_defect(mesh, cache, origin=shift)
         bound = translation_defect(cache) * np.linalg.norm(shift)
         assert abs(raw - shifted) <= bound * (1 + 1e-9) + 1e-14
-
-
-class TestEnergyReport:
-    def test_report_consistency(self, ellipsoid4):
-        mesh, cache = ellipsoid4
-        rep = energy_report(mesh, cache)
-        assert rep.gauss_bonnet_defect == pytest.approx(
-            rep.wbar - (2 * rep.willmore - 4 * np.pi * 2), abs=1e-12
-        )
-        assert rep.lam == pytest.approx(lagrange_multiplier(cache), rel=1e-14)

@@ -50,7 +50,7 @@ def test_generators_emit_inward_orientation(make):
 
 def test_ellipsoid_energy_window(ellipsoid4):
     mesh, cache = ellipsoid4
-    w = willmore(mesh, cache)
+    w = willmore(cache)
     assert 4 * np.pi < w < 8 * np.pi
     oracle = ellipsoid_quadrature(1.2, 1.0, 0.85)
     assert w == pytest.approx(oracle["willmore"], rel=5e-3)
@@ -61,7 +61,7 @@ def test_torus_against_quadrature(torus_mesh):
     assert torus_willmore(2.0, 1.0) == pytest.approx(
         4 * np.pi ** 2 / np.sqrt(3.0), rel=1e-12
     )
-    assert willmore(mesh, cache) == pytest.approx(
+    assert willmore(cache) == pytest.approx(
         4 * np.pi ** 2 / np.sqrt(3.0), rel=0.02
     )
     assert cache.total_area == pytest.approx(torus_area(2.0, 1.0), rel=0.01)
@@ -76,7 +76,7 @@ def test_perturbed_sphere_deterministic():
 
 def test_perturbed_sphere_below_li_yau():
     mesh = perturbed_sphere(3, 1.0, 3, 2, 0.08)
-    assert willmore(mesh, build_cache(mesh)) < 8 * np.pi
+    assert willmore(build_cache(mesh)) < 8 * np.pi
 
 
 def test_real_harmonics_orthonormal():

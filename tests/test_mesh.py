@@ -130,18 +130,9 @@ class TestTriMesh:
 
     def test_with_positions_shares_connectivity(self):
         mesh = octahedron()
-        mesh.edges()
         mesh.topology()
         moved = mesh.with_positions(mesh.positions * 2.0)
-        assert moved._edges is mesh._edges
         assert moved.topology() is mesh.topology()
-
-    def test_edge_table(self):
-        edges = octahedron().edges()
-        assert edges.shape == (12, 2)
-        assert np.all(edges[:, 0] < edges[:, 1])
-        # sorted unique rows
-        assert np.array_equal(np.unique(edges, axis=0), edges)
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):

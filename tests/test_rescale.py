@@ -69,8 +69,8 @@ class TestRescaleMesh:
         assert signed_volume(out) == pytest.approx(
             signed_volume(mesh) / 8.0, rel=1e-12
         )
-        assert willmore(out, out_cache) == pytest.approx(
-            willmore(mesh, cache), rel=1e-12
+        assert willmore(out_cache) == pytest.approx(
+            willmore(cache), rel=1e-12
         )
 
     def test_lambda_scaling(self, ellipsoid4):
@@ -85,11 +85,11 @@ class TestRescaleMesh:
         mesh, cache = ellipsoid4
         out = rescale_mesh(mesh, RescaleSpec(rho=0.5, origin=(1.0, 2.0, 3.0)))
         out_cache = build_cache(out)
-        assert willmore(out, out_cache) == pytest.approx(
-            willmore(mesh, cache), rel=1e-12
+        assert willmore(out_cache) == pytest.approx(
+            willmore(cache), rel=1e-12
         )
-        assert wbar(out, out_cache) == pytest.approx(
-            wbar(mesh, cache), rel=1e-12
+        assert wbar(out_cache) == pytest.approx(
+            wbar(cache), rel=1e-12
         )
 
     def test_bad_rho(self):
@@ -215,7 +215,7 @@ class TestBlowupWindow:
         traj = run(mesh, config)
         window = blowup_window(traj, 4 * np.pi, 2e-7)
         cache = build_cache(window.mesh)
-        assert willmore(window.mesh, cache) == pytest.approx(
+        assert willmore(cache) == pytest.approx(
             4 * np.pi, rel=0.01
         )
         radii = np.linalg.norm(
