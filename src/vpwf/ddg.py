@@ -257,6 +257,9 @@ class GeometryCache:
     laplacian: CSR              # cotangent operator, see build_laplacian
     mass: np.ndarray            # mixed Voronoi vertex areas, sums to area
     normals: np.ndarray         # unit vertex normals
+    # dV/ds_i as vertex i moves by s_i along its normal: the volume's
+    # gradient at i is -1/3 of the normal's area-weighted sum
+    volume_slope: np.ndarray
     H: np.ndarray               # mean curvature, +2/r on inward unit sphere
     K: np.ndarray               # angle-defect Gaussian curvature
     tracefree_sq: np.ndarray    # |A0|^2 = max(H^2/2 - 2K, 0)
@@ -320,7 +323,12 @@ def lumped_mass(mesh, face_data):
 
 
 def vertex_normals(mesh, face_data):
-    """Area-weighted average of incident face normals, unit length."""
+    """Area-weighted average of incident face normals, unit length.
+
+    Returns (normals, lengths), ``lengths`` being the length of each
+    vertex's sum of area-weighted face normals, the sum the normal
+    normalises.
+    """
     areas, fnormals = face_data[:2]
     weighted = areas * fnormals
     face_sum = _connectivity(mesh).face_sum
@@ -333,7 +341,7 @@ def vertex_normals(mesh, face_data):
         raise ZeroNormalError(
             "vertex %d normal sum has magnitude %.3e" % (bad, norms[bad])
         )
-    return acc / norms[:, None]
+    return acc / norms[:, None], norms
 
 
 def mean_curvature(mesh, laplacian, mass, normals):
@@ -368,18 +376,18 @@ def tracefree_sq(H, K):
     return np.maximum(0.5 * H ** 2 - 2.0 * K, 0.0)
 
 
-def build_cache(mesh, corners=None):
+def build_cache(mesh, frame=None):
     """Assemble every per-vertex quantity the flow and diagnostics need.
 
     This is the one way to get them: the face data of
     :func:`~vpwf.mesh.face_geometry` is built once and handed to each
-    operator.  ``corners`` are the mesh's gathered corners when the caller
-    has them (the volume projection does).
+    operator.  ``frame`` is the mesh's :class:`~vpwf.mesh.FaceFrame` when
+    the caller has it (the flow's volume check does).
     """
-    face_data = face_geometry(mesh, corners)
+    face_data = face_geometry(mesh, frame)
     laplacian = build_laplacian(mesh, face_data)
     mass = lumped_mass(mesh, face_data)
-    normals = vertex_normals(mesh, face_data)
+    normals, normal_lengths = vertex_normals(mesh, face_data)
     H = mean_curvature(mesh, laplacian, mass, normals)
     angles = _corner_angles(face_data)
     K = gaussian_curvature(mesh, mass, angles)
@@ -388,6 +396,7 @@ def build_cache(mesh, corners=None):
         laplacian=laplacian,
         mass=mass,
         normals=normals,
+        volume_slope=normal_lengths / -3.0,
         H=H,
         K=K,
         tracefree_sq=tracefree_sq(H, K),

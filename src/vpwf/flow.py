@@ -4,13 +4,24 @@ Each step moves vertices along their normals by dt times the normal speed
 
     xi = -lap(H) - |A0|^2 H + lam,
 
-re-projects the signed volume to the target with a safeguarded Newton
-correction along the normals, and enforces monotone energy decay: a step
-that raises the bending energy by more than the tolerance is rejected and
-retried with half the step.  The accepted trial geometry becomes the next
-step's cache, and the accepted state carries its rates (lam, xi, max|xi|
-and wbar, :class:`Rates`): the driver's stop checks read them and the next
-step moves by them, so the flow costs one geometry build and one rate
+plus a uniform correction c that keeps the signed volume on its target,
+and enforces monotone energy decay: a step that raises the bending energy
+by more than the tolerance is rejected and retried with half the step.
+
+The correction is predicted, not searched for.  Moving vertex i by s_i
+along its normal changes the volume at the rate g_i = -|sum_f A_f n_f|_i / 3
+(the cache's ``volume_slope``), so c solves V + g.(dt xi + c) + q dt^2 = T,
+with V the state's volume as its own check measured it, T the target and
+q the second-order remainder the previous step's check found, per dt^2.
+The vertices move once; the trial's volume is measured on the face frame
+its geometry is then built from, and only when it misses the tolerance
+does a safeguarded Newton projection along the normals continue from
+there (:func:`volume_project`).  So a step gathers its face corners once.
+
+The accepted trial geometry becomes the next step's cache, and the
+accepted state carries its rates (lam, xi, max|xi| and wbar,
+:class:`Rates`): the driver's stop checks read them and the next step
+moves by them, so the flow costs one geometry build and one rate
 evaluation per step.
 """
 
@@ -35,8 +46,8 @@ from .mesh import (
     TriMesh,
     cross3,
     dot3,
+    face_frame,
     face_geometry,
-    gather_corners,
     shape_quality,
     tet_volume,
 )
@@ -113,7 +124,10 @@ class FlowState:
 
     ``last_lambda``, ``last_max_speed`` and ``last_dt`` are what the step
     into this state moved by; ``rates`` are what the next step moves by,
-    evaluated on ``cache``.
+    evaluated on ``cache``.  ``volume`` is the signed volume of ``mesh`` as
+    its projection check measured it, and ``volume_remainder`` the part of
+    the step's volume change that the linear prediction missed, divided by
+    dt^2: the next step predicts its volume correction from both.
     """
 
     mesh: TriMesh
@@ -126,6 +140,8 @@ class FlowState:
     last_max_speed: float = 0.0
     last_dt: float = 0.0
     last_halvings: int = 0
+    volume: float = 0.0
+    volume_remainder: float = 0.0
     cache: object = field(default=None, repr=False, compare=False)
     rates: Rates = field(default=None, repr=False, compare=False)
 
@@ -147,9 +163,11 @@ def initial_state(mesh, cache=None):
     """
     if cache is None:
         cache = build_cache(mesh)
+    volume = signed_volume(mesh)
     return FlowState(
         mesh=mesh,
-        target_volume=signed_volume(mesh),
+        target_volume=volume,
+        volume=volume,
         cache=cache,
         rates=_rates(cache, wbar(cache)),
     )
@@ -192,73 +210,117 @@ def choose_dt(cache, config, max_speed):
     return dt
 
 
-def volume_project(mesh, normals, target_volume, tol, total_area):
-    """Move vertices along ``normals`` so the signed volume hits the target.
+def _volume_error(volume, target_volume):
+    """Relative error of ``volume``; refuses what a projection cannot bridge.
 
-    Newton iteration on c -> V(f + c*nu) with the first-variation derivative
-    dV/dc = -A, ``total_area`` being the area A of ``mesh``, safeguarded by
-    a residual-decrease check, for at most ``MAX_PROJECTION_ITERATIONS``
-    iterations.  The projection is a small correction: it refuses to bridge
-    volume errors of 50% or more.
-
-    Returns (projected mesh, its corners), the corners in the
-    :func:`~vpwf.mesh.gather_corners` layout, ready for
-    :func:`~vpwf.ddg.build_cache`.
+    The projection is a small correction: errors of 50% or more raise
+    ``ProjectionDivergedError``.
     """
-    corners = gather_corners(mesh)
-    v = tet_volume(corners)
     if target_volume == 0.0:
         raise ProjectionDivergedError("target volume is zero")
-    rel = abs(v - target_volume) / abs(target_volume)
+    rel = abs(volume - target_volume) / abs(target_volume)
     if rel >= 0.5:
         raise ProjectionDivergedError(
             "volume error %.2f is too large for a projection" % rel
         )
+    return rel
+
+
+def volume_project(mesh, normals, target_volume, tol, total_area, frame):
+    """Move vertices along ``normals`` so the signed volume hits the target.
+
+    Newton iteration on c -> V(f + c*nu) from c = 0, ``frame`` being the
+    :class:`~vpwf.mesh.FaceFrame` of ``mesh`` and ``f`` its positions,
+    with the first-variation derivative dV/dc = -A, ``total_area`` being
+    the area A of ``mesh``, safeguarded by a residual-decrease check, for
+    at most ``MAX_PROJECTION_ITERATIONS`` iterations.  It refuses volume
+    errors of 50% or more.  The flow's step calls it only when its
+    predicted correction missed (:func:`_advance`), so ``mesh`` is then
+    already corrected once; the quality pass calls it on every pass.
+
+    Returns (projected mesh, its frame, its signed volume), the frame
+    ready for :func:`~vpwf.ddg.build_cache`.
+    """
+    v = tet_volume(frame)
+    rel = _volume_error(v, target_volume)
     if rel <= tol:
-        return mesh, corners
+        return mesh, frame, v
     c = 0.0
     best = rel
     for _ in range(MAX_PROJECTION_ITERATIONS):
         # dV/dc = -A for motion along the inward-positive normal
         c += (v - target_volume) / total_area
         projected = mesh.with_positions(mesh.positions + c * normals)
-        corners = gather_corners(projected)
-        v = tet_volume(corners)
+        frame = face_frame(projected)
+        v = tet_volume(frame)
         rel = abs(v - target_volume) / abs(target_volume)
         if rel <= tol:
-            return projected, corners
+            return projected, frame, v
         if rel >= best:
             # refresh the derivative before declaring failure
-            total_area = float(np.sum(face_geometry(projected, corners)[0]))
+            total_area = float(np.sum(face_geometry(projected, frame)[0]))
         best = min(best, rel)
     raise ProjectionDivergedError(
         "volume projection stalled at relative error %.3e" % rel
     )
 
 
+class _Trial(NamedTuple):
+    """A settled proposal: its mesh, geometry and wbar, the volume its
+    projection check measured and the remainder that check found."""
+
+    mesh: TriMesh
+    cache: object
+    wbar: float
+    volume: float
+    volume_remainder: float
+
+
 def _advance(state, cache, xi, dt, config):
-    """Move by dt * xi along the normals, then :func:`_settle`."""
-    moved = state.mesh.with_positions(
-        state.mesh.positions + dt * xi[:, None] * cache.normals
-    )
-    return _settle(moved, cache.normals, state.target_volume, config,
-                   cache.total_area)
+    """Predict the volume correction, move once, verify; then settle.
 
-
-def _settle(mesh, normals, target_volume, config, total_area):
-    """Project a proposal onto the target volume and rebuild its geometry.
-
-    ``normals`` and ``total_area`` are what :func:`volume_project` moves
-    along and divides by.  Returns (mesh, cache, wbar); raises one of
+    The vertices move to X + (u + c) nu with u = dt * xi, ``cache``
+    supplying the normals nu and the volume slopes g.  The correction c
+    solves V + g.(u + c) + q dt^2 = T, V being the state's volume, T the
+    target and q the state's ``volume_remainder``; a move whose predicted
+    volume V + g.u + q dt^2 is 50% or more off the target is refused.  The
+    moved mesh's volume is measured on the frame its geometry is built
+    from; when it misses ``projection_tol``, :func:`volume_project`
+    continues from there.  Returns a :class:`_Trial`; raises one of
     ``_TRIAL_FAILURES`` when the proposal's geometry fails.
     """
-    projected, corners = volume_project(
-        mesh, normals, target_volume, config.projection_tol, total_area,
+    target = state.target_volume
+    slope = cache.volume_slope
+    u = dt * xi
+    moved_volume = (state.volume + float(slope @ u)
+                    + state.volume_remainder * dt * dt)
+    _volume_error(moved_volume, target)
+    shift = u + (target - moved_volume) / float(slope.sum())
+    mesh = state.mesh.with_positions(
+        state.mesh.positions + shift[:, None] * cache.normals
     )
-    cache = build_cache(projected, corners=corners)
+    frame = face_frame(mesh)
+    volume = tet_volume(frame)
+    remainder = (volume - state.volume - float(slope @ shift)) / (dt * dt)
+    if _volume_error(volume, target) > config.projection_tol:
+        mesh, frame, volume = volume_project(
+            mesh, cache.normals, target, config.projection_tol,
+            cache.total_area, frame,
+        )
+    trial_cache, wb = _settle(mesh, frame)
+    return _Trial(mesh, trial_cache, wb, volume, remainder)
+
+
+def _settle(mesh, frame):
+    """Build the geometry of a projected proposal; returns (cache, wbar).
+
+    Raises ``NonFiniteError`` when the curvature blows up, and
+    ``build_cache``'s failures among ``_TRIAL_FAILURES``.
+    """
+    cache = build_cache(mesh, frame)
     if not (np.isfinite(cache.H).all() and np.isfinite(cache.lap_H).all()):
         raise NonFiniteError("curvature blow-up after step")
-    return projected, cache, wbar(cache)
+    return cache, wbar(cache)
 
 
 def _no_energy_rise(before, after, config):
@@ -285,15 +347,15 @@ def step(state, config):
     dt = choose_dt(cache, config, max_speed)
 
     halvings = 0
-    wb_trial = math.nan
     while True:
         failure = None
+        wb_trial = math.nan
         try:
-            mesh, trial_cache, wb_trial = _advance(state, cache, xi, dt, config)
+            trial = _advance(state, cache, xi, dt, config)
+            wb_trial = trial.wbar
             if _no_energy_rise(wb, wb_trial, config):
                 break
         except _TRIAL_FAILURES as exc:
-            wb_trial = math.nan
             failure = exc
         if halvings >= MAX_HALVINGS:
             message = (
@@ -317,21 +379,22 @@ def step(state, config):
         # mesh maintenance must not break the monotone-energy contract; a
         # pass that fails or raises the energy is skipped rather than applied
         try:
-            improved, face_data = quality_pass(mesh, config, trial_cache)
-            improved, improved_cache, wb_improved = _settle(
-                improved, ddg.vertex_normals(improved, face_data),
-                state.target_volume, config, float(np.sum(face_data[0])),
+            improved, face_data = quality_pass(trial.mesh, config, trial.cache)
+            improved, frame, volume = volume_project(
+                improved, ddg.vertex_normals(improved, face_data)[0],
+                state.target_volume, config.projection_tol,
+                float(np.sum(face_data[0])), face_frame(improved),
             )
+            improved_cache, wb_improved = _settle(improved, frame)
         except (QualityCollapseError,) + _TRIAL_FAILURES:
             pass
         else:
-            if _no_energy_rise(wb_trial, wb_improved, config):
-                mesh, trial_cache, wb_trial = (
-                    improved, improved_cache, wb_improved
-                )
+            if _no_energy_rise(trial.wbar, wb_improved, config):
+                trial = trial._replace(mesh=improved, cache=improved_cache,
+                                       wbar=wb_improved, volume=volume)
 
     return FlowState(
-        mesh=mesh,
+        mesh=trial.mesh,
         time=state.time + dt,
         step_index=step_index,
         target_volume=state.target_volume,
@@ -341,8 +404,10 @@ def step(state, config):
         last_max_speed=max_speed,
         last_dt=dt,
         last_halvings=halvings,
-        cache=trial_cache,
-        rates=_rates(trial_cache, wb_trial),
+        volume=trial.volume,
+        volume_remainder=trial.volume_remainder,
+        cache=trial.cache,
+        rates=_rates(trial.cache, trial.wbar),
     )
 
 
@@ -430,7 +495,7 @@ def quality_pass(mesh, config, cache):
         if count == 0:
             normals = cache.normals
         else:
-            normals = ddg.vertex_normals(mesh, face_geometry(mesh))
+            normals = ddg.vertex_normals(mesh, face_geometry(mesh))[0]
         neighbour_sum, degree = ddg._connectivity(mesh).umbrella
         umbrella = (ddg._matvec(neighbour_sum, mesh.positions)
                     / degree[:, None] - mesh.positions)

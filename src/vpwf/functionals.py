@@ -9,7 +9,7 @@ convention that the inward normal gives positive volume.
 
 import numpy as np
 
-from .mesh import gather_corners, tet_volume
+from .mesh import face_frame, tet_volume
 
 
 def signed_volume(mesh):
@@ -19,7 +19,7 @@ def signed_volume(mesh):
     invariant to roundoff on closed meshes and lets the flow's volume
     constraint be tested at machine precision.
     """
-    return tet_volume(gather_corners(mesh))
+    return tet_volume(face_frame(mesh))
 
 
 def willmore(cache):

@@ -12,6 +12,7 @@ mesh can be shared freely across threads for read-only analysis.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,8 @@ AREA_FLOOR_SCALE = 1e-12
 def cross3(a, b):
     """Cross product of vector fields stored component-first, shape (3, ...).
 
-    Each component is a contiguous run when the fields come from
-    :func:`gather_corners`, which is what makes the per-face kernels fast.
+    Each component is a contiguous run when the fields come from a
+    :class:`FaceFrame`, which is what makes the per-face kernels fast.
     """
     out = np.empty_like(a)
     tmp = np.empty_like(out[0])
@@ -143,55 +144,61 @@ class TriMesh:
         return self._topology
 
 
-def gather_corners(mesh):
-    """Per-face corner coordinates, component-first: shape (3, 3, m).
+class FaceFrame(NamedTuple):
+    """A mesh's corners, edges and edge cross products, gathered once.
 
-    ``corners[a, k, f]`` is coordinate ``a`` of corner ``k`` of face ``f``,
-    so ``corners[:, k]`` is a (3, m) vector field for :func:`cross3` and
+    Every field is component-first: ``corners[a, k, f]`` is coordinate
+    ``a`` of corner ``k`` of face ``f``, ``edges[:, k]`` runs from corner k
+    to corner k+1 (e01, e12, e20) and ``cross`` is e01 x e12, twice the
+    face area along the winding normal.  ``corners[:, k]`` and
+    ``edges[:, k]`` are (3, m) vector fields for :func:`cross3` and
     :func:`dot3`.
     """
-    return np.take(mesh.positions.T, mesh.faces.T, axis=1)
+
+    corners: np.ndarray
+    edges: np.ndarray
+    cross: np.ndarray
 
 
-def tet_volume(corners):
-    """Signed enclosed volume from :func:`gather_corners` output.
-
-    The exact signed-tetrahedron sum, positive for inward orientation.
-    """
-    p0, p1, p2 = corners[:, 0], corners[:, 1], corners[:, 2]
-    return -float(dot3(p0, cross3(p1, p2)).sum()) / 6.0
-
-
-def face_edges(corners):
-    """Edge vectors from :func:`gather_corners` output, shape (3, 3, m).
-
-    Edge k runs from corner k to corner k+1 (e01, e12, e20).
-    """
+def face_frame(mesh):
+    """The :class:`FaceFrame` of ``mesh``: one gather of its corners."""
+    corners = np.take(mesh.positions.T, mesh.faces.T, axis=1)
     edges = np.empty_like(corners)
     np.subtract(corners[:, 1:], corners[:, :2], out=edges[:, :2])
     np.subtract(corners[:, 0], corners[:, 2], out=edges[:, 2])
-    return edges
+    return FaceFrame(corners, edges, cross3(edges[:, 0], edges[:, 1]))
 
 
-def face_geometry(mesh, corners=None):
+def tet_volume(frame):
+    """Signed enclosed volume from a :class:`FaceFrame`.
+
+    The signed-tetrahedron sum -(1/6) sum p0 . (e01 x e12), positive for
+    inward orientation.  It equals the sum of p0 . (p1 x p2) exactly in
+    real arithmetic and reuses the cross product of
+    :func:`face_geometry`, so the flow measures a trial's volume on the
+    frame it builds the trial's geometry from.
+    """
+    return -float(dot3(frame.corners[:, 0], frame.cross).sum()) / 6.0
+
+
+def face_geometry(mesh, frame=None):
     """Areas, winding normals, corner dots and squared edge lengths.
 
     The package's one face-geometry kernel.  Per-face arrays are
     component-first, shape (3, m): ``normals[a]`` is coordinate a,
     ``dots[k]`` the dot product of the two edges leaving corner k and
     ``sq[k]`` the squared length of the edge from corner k to corner k+1.
-    ``corners`` lets a caller that already gathered them (the volume
-    projection does) hand them over in the layout of :func:`gather_corners`.
+    ``frame`` lets a caller that already built the mesh's
+    :class:`FaceFrame` (the flow's volume check does) hand it over.
 
     Raises
     ------
     DegenerateFaceError
         If any face area is below the mesh's degeneracy floor.
     """
-    if corners is None:
-        corners = gather_corners(mesh)
-    edges = face_edges(corners)
-    cross = cross3(edges[:, 0], edges[:, 1])
+    if frame is None:
+        frame = face_frame(mesh)
+    edges, cross = frame.edges, frame.cross
     double_area = np.sqrt(dot3(cross, cross))
     areas = 0.5 * double_area
     floor = mesh.area_floor()

@@ -106,6 +106,9 @@ def rescale_trajectory(traj, spec):
             last_max_speed=final.last_max_speed * spec.rho ** 3,
             last_dt=final.last_dt * w["t"],
             last_halvings=final.last_halvings,
+            volume=final.volume * w["volume"],
+            volume_remainder=(final.volume_remainder * w["volume"]
+                              / w["t"] ** 2),
         )
     return Trajectory(
         records=records,

@@ -20,6 +20,7 @@ from vpwf.ddg import (
 )
 from vpwf import ddg
 from vpwf.errors import DegenerateFaceError, ZeroNormalError
+from vpwf.functionals import signed_volume
 from vpwf.generators import icosphere, torus
 from vpwf.mesh import TriMesh, face_geometry
 
@@ -103,16 +104,37 @@ class TestVertexNormals:
 
     def test_octahedron_axis_vertex(self):
         mesh = octahedron()
-        normals = vertex_normals(mesh, face_geometry(mesh))
+        normals, _ = vertex_normals(mesh, face_geometry(mesh))
         assert np.allclose(normals[0], [-1, 0, 0], atol=1e-15)
 
     def test_orientation_reversal_negates(self, sphere3):
         mesh, cache = sphere3
         other = flipped(mesh)
         assert np.allclose(
-            vertex_normals(other, face_geometry(other)), -cache.normals,
+            vertex_normals(other, face_geometry(other))[0], -cache.normals,
             atol=1e-15,
         )
+
+    @pytest.mark.parametrize("builder", [
+        octahedron, lambda: icosphere(3), lambda: torus(2.0, 1.0, 16, 16),
+    ])
+    def test_volume_slope_is_the_volume_derivative(self, builder):
+        # d/de V(X + e w nu) at e = 0 is volume_slope . w, the slope at
+        # vertex i being -1/3 of the length of its area-weighted normal sum
+        mesh = builder()
+        cache = build_cache(mesh)
+        w = np.random.default_rng(7).uniform(-1.0, 1.0, mesh.vertex_count)
+        eps = 1e-6
+
+        def volume_at(e):
+            return signed_volume(mesh.with_positions(
+                mesh.positions + e * w[:, None] * cache.normals))
+
+        slope = (volume_at(eps) - volume_at(-eps)) / (2.0 * eps)
+        assert np.all(cache.volume_slope < 0.0)
+        assert cache.volume_slope @ w == pytest.approx(slope, rel=1e-7)
+        _, lengths = vertex_normals(mesh, face_geometry(mesh))
+        assert np.array_equal(cache.volume_slope, lengths / -3.0)
 
     def test_fold_raises(self):
         # exactly flat double sheet: the per-vertex normal sums cancel

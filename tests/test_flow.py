@@ -1,3 +1,6 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,7 @@ from vpwf.flow import (
 )
 from vpwf.functionals import lagrange_multiplier, signed_volume, wbar
 from vpwf.generators import ellipsoid, icosphere, perturbed_sphere, torus
-from vpwf.mesh import TriMesh, face_geometry, validate
+from vpwf.mesh import TriMesh, face_frame, face_geometry, validate
 
 from oracles import random_smooth_normal_field
 
@@ -112,17 +115,18 @@ class TestChooseDt:
 class TestVolumeProject:
     def test_already_at_target_is_identity(self, sphere3):
         mesh, cache = sphere3
-        out, _ = volume_project(mesh, cache.normals, signed_volume(mesh),
-                                1e-10, cache.total_area)
+        out, _, _ = volume_project(mesh, cache.normals, signed_volume(mesh),
+                                   1e-10, cache.total_area, face_frame(mesh))
         assert out is mesh
 
     def test_inflated_sphere_projects_back(self, sphere3):
         mesh, cache = sphere3
         target = signed_volume(mesh)
         inflated = TriMesh(1.01 * mesh.positions, mesh.faces)
-        normals = vertex_normals(inflated, face_geometry(inflated))
-        projected, _ = volume_project(inflated, normals, target, 1e-10,
-                                      face_geometry(inflated)[0].sum())
+        normals, _ = vertex_normals(inflated, face_geometry(inflated))
+        projected, _, _ = volume_project(
+            inflated, normals, target, 1e-10,
+            face_geometry(inflated)[0].sum(), face_frame(inflated))
         achieved = signed_volume(projected)
         assert abs(achieved - target) <= 1e-10 * abs(target)
         moved = np.linalg.norm(projected.positions - inflated.positions,
@@ -147,16 +151,100 @@ class TestVolumeProject:
             mesh.positions + amplitude * phi[:, None] * cache.normals,
             mesh.faces,
         )
-        projected, _ = volume_project(
-            offset, vertex_normals(offset, face_geometry(offset)), target,
-            tol, face_geometry(offset)[0].sum())
+        projected, _, volume = volume_project(
+            offset, vertex_normals(offset, face_geometry(offset))[0], target,
+            tol, face_geometry(offset)[0].sum(), face_frame(offset))
         assert abs(signed_volume(projected) - target) <= tol * abs(target)
+        assert volume == signed_volume(projected)
 
     def test_rejects_large_errors(self, sphere3):
         mesh, cache = sphere3
         with pytest.raises(ProjectionDivergedError):
             volume_project(mesh, cache.normals, 10 * signed_volume(mesh),
-                           1e-10, cache.total_area)
+                           1e-10, cache.total_area, face_frame(mesh))
+
+
+class TestPredictedProjection:
+    """A trial predicts its volume correction, moves once and verifies it;
+    a miss falls back to :func:`volume_project`."""
+
+    @staticmethod
+    def trial(state, xi, dt, config):
+        """``flow._advance`` of ``state``; returns (trial, fallback count)."""
+        from vpwf import flow
+
+        with mock.patch.object(flow, "volume_project",
+                               wraps=flow.volume_project) as project:
+            out = flow._advance(state, state.cache, xi, dt, config)
+        return out, project.call_count
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        level=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        amplitude=st.floats(1e-6, 1e-4),
+        dt=st.floats(1e-7, 1e-3),
+        wrong=st.floats(1e-9, 1e-3),
+    )
+    def test_hit_and_forced_miss_land_on_target(
+        self, level, seed, amplitude, dt, wrong
+    ):
+        config = FlowConfig()
+        tol = config.projection_tol
+        state = initial_state(ellipsoid(1.2, 1.0, 0.85, level))
+        target = state.target_volume
+        xi = amplitude / dt * random_smooth_normal_field(
+            state.mesh.positions, np.random.default_rng(seed)
+        )
+        # the first trial measures the remainder its linear prediction left
+        first, _ = self.trial(state, xi, dt, config)
+        carried = dataclasses.replace(
+            state, volume_remainder=first.volume_remainder
+        )
+        hit, fallbacks = self.trial(carried, xi, dt, config)
+        assert fallbacks == 0
+        # a remainder off by a relative volume of ``wrong`` must miss
+        wrong_q = first.volume_remainder + wrong * target / (dt * dt)
+        miss, fallbacks = self.trial(
+            dataclasses.replace(state, volume_remainder=wrong_q), xi, dt,
+            config,
+        )
+        assert fallbacks == 1
+        for out in (first, hit, miss):
+            assert abs(out.volume - target) <= tol * abs(target)
+            assert out.volume == signed_volume(out.mesh)
+            assert out.cache.mesh is out.mesh
+
+    def test_refusal_applies_to_the_predicted_move(self):
+        # the prediction alone refuses a move it cannot bridge: no vertex
+        # is moved and no geometry is built
+        from vpwf import flow
+
+        state = initial_state(icosphere(2))
+        xi = np.full(state.mesh.vertex_count, 1.0)
+        area = state.cache.total_area
+        dt = 0.6 * state.target_volume / area
+        with mock.patch.object(flow, "face_frame") as frame:
+            with pytest.raises(ProjectionDivergedError,
+                               match="too large for a projection"):
+                flow._advance(state, state.cache, xi, dt, FlowConfig())
+        assert frame.call_count == 0
+
+    def test_few_trials_fall_back_on_the_relaxation_preset(self):
+        # the saving of the prediction lives on its hits: on the
+        # ellipsoid-to-sphere preset's shape at level 3 nearly every trial
+        # must land within the tolerance without a Newton iteration
+        from vpwf import flow
+
+        config = FlowConfig(dt_safety=0.09)
+        state = initial_state(ellipsoid(1.2, 1.0, 0.85, 3))
+        trials = 0
+        with mock.patch.object(flow, "volume_project",
+                               wraps=flow.volume_project) as project:
+            for _ in range(2000):
+                state = step(state, config)
+                trials += 1 + state.last_halvings
+        assert project.call_count <= 0.02 * trials
 
 
 class TestStep:
@@ -215,9 +303,9 @@ class TestStep:
         # the full oversized trial was flagged, not merely unlucky
         dt = oversized(before.cache, config, before.rates.max_speed)
         try:
-            _, _, wb_trial = flow._advance(
+            wb_trial = flow._advance(
                 before, before.cache, before.rates.xi, dt, config
-            )
+            ).wbar
         except NonFiniteError:
             pass
         else:
@@ -256,6 +344,10 @@ class TestStep:
 
         mesh = icosphere(2)
         state = initial_state(mesh, build_cache(mesh))
+        # a carried volume 1e-6 off the mesh's own makes every trial's
+        # predicted correction miss, whatever its dt, so every trial
+        # reaches the projection
+        state = dataclasses.replace(state, volume=state.volume * (1 + 1e-6))
         monkeypatch.setattr(flow, "volume_project", diverge)
         with pytest.raises(
             DissipationViolationError,
@@ -591,6 +683,8 @@ class TestOneStep:
         for state in states:
             cache = state.cache
             assert cache.mesh is state.mesh
+            # the volume the check measured is the mesh's, bit for bit
+            assert state.volume == signed_volume(state.mesh)
             lam = lagrange_multiplier(cache)
             xi = velocity(cache, lam)
             assert state.rates.lam == lam
@@ -603,24 +697,32 @@ class TestOneStep:
         # step's projection, so that mesh's face geometry is built once
         from vpwf import flow
 
-        built, projected_from = [], []
+        built, projected_from, smoothed = [], [], []
         face_geometry_fn, project_fn = flow.face_geometry, flow.volume_project
+        pass_fn = flow.quality_pass
 
-        def spy_face_geometry(mesh, corners=None):
+        def spy_face_geometry(mesh, frame=None):
             built.append(mesh)
-            return face_geometry_fn(mesh, corners)
+            return face_geometry_fn(mesh, frame)
 
         def spy_project(mesh, *args, **kwargs):
             projected_from.append(mesh)
             return project_fn(mesh, *args, **kwargs)
 
+        def spy_pass(*args):
+            out = pass_fn(*args)
+            smoothed.append(out[0])
+            return out
+
         monkeypatch.setattr(flow, "face_geometry", spy_face_geometry)
         monkeypatch.setattr(flow, "volume_project", spy_project)
-        state = step(initial_state(self.mesh), self.quality_every_step(1))
-        # one projection per trial, then the maintained mesh's
-        assert len(projected_from) == state.last_halvings + 2
-        smoothed = projected_from[-1]
-        assert sum(m is smoothed for m in built) == 1
+        monkeypatch.setattr(flow, "quality_pass", spy_pass)
+        step(initial_state(self.mesh), self.quality_every_step(1))
+        # trials reach the projection only when their prediction misses;
+        # the maintained mesh always does, last
+        assert len(smoothed) == 1
+        assert projected_from[-1] is smoothed[0]
+        assert sum(m is smoothed[0] for m in built) == 1
 
     def test_step_from_initial_state_is_first_step_of_run(self):
         config = self.quality_every_step(1)
@@ -631,7 +733,7 @@ class TestOneStep:
         assert np.array_equal(alone.mesh.faces, first.mesh.faces)
         for name in ("time", "target_volume", "accum_L43", "accum_L2A",
                      "last_lambda", "last_max_speed", "last_dt",
-                     "last_halvings"):
+                     "last_halvings", "volume", "volume_remainder"):
             assert getattr(alone, name) == getattr(first, name), name
         assert np.array_equal(alone.rates.xi, first.rates.xi)
         assert (alone.rates.lam, alone.rates.max_speed, alone.rates.wbar) == (

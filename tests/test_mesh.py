@@ -7,10 +7,13 @@ from vpwf.errors import (
     InconsistentOrientationError,
     NonManifoldError,
 )
-from vpwf.generators import icosphere, torus
+from vpwf.functionals import signed_volume
+from vpwf.generators import ellipsoid, icosphere, torus
 from vpwf.mesh import (
     TriMesh,
+    face_frame,
     face_geometry,
+    tet_volume,
     validate,
 )
 
@@ -120,6 +123,47 @@ class TestFaceGeometry:
 
     def test_shortest_edge(self):
         assert shortest_edge_length(octahedron()) == pytest.approx(np.sqrt(2))
+
+
+CLOSED_MESHES = [
+    octahedron,
+    lambda: icosphere(3),
+    lambda: ellipsoid(1.2, 1.0, 0.85, 3),
+    lambda: torus(2.0, 1.0, 16, 16),
+]
+
+
+class TestTetVolume:
+    """The edge-cross sum -(1/6) sum p0 . (e01 x e12) is the package's one
+    volume formula: signed_volume and the flow's trial check both use it."""
+
+    @staticmethod
+    def corner_triple_sum(mesh):
+        """The signed-tetrahedron sum in its corner form, p0 . (p1 x p2)."""
+        p0, p1, p2 = (mesh.positions[mesh.faces[:, k]] for k in range(3))
+        return -float(np.sum(p0 * np.cross(p1, p2))) / 6.0
+
+    @pytest.mark.parametrize("builder", CLOSED_MESHES)
+    def test_agrees_with_corner_triple_product(self, builder):
+        mesh = builder()
+        volume = tet_volume(face_frame(mesh))
+        assert volume == signed_volume(mesh)
+        assert volume == pytest.approx(self.corner_triple_sum(mesh),
+                                       rel=1e-13)
+
+    @pytest.mark.parametrize("builder", CLOSED_MESHES)
+    @pytest.mark.parametrize("shift", [
+        (1e-3, 0.0, 0.0), (2.5, -1.0, 0.5), (-40.0, 30.0, 25.0),
+    ])
+    def test_translation_invariant(self, builder, shift):
+        mesh = builder()
+        volume = signed_volume(mesh)
+        moved = TriMesh(mesh.positions + np.array(shift), mesh.faces)
+        # the translation term t . sum(e01 x e12) cancels up to rounding
+        # of the face vector areas, of order |t| * area * eps
+        scale = np.linalg.norm(shift) * face_geometry(mesh)[0].sum()
+        assert abs(signed_volume(moved) - volume) <= 1e-14 * (
+            abs(volume) + scale)
 
 
 class TestTriMesh:

@@ -151,6 +151,10 @@ class TestRescaleTrajectory:
                                                     rel=1e-12)
             assert after.accum_L2A == pytest.approx(before.accum_L2A,
                                                     rel=1e-12)
+        before, after = small_trajectory.final_state, out.final_state
+        assert after.volume == before.volume * rho ** -3.0
+        assert after.volume_remainder == pytest.approx(
+            before.volume_remainder * rho ** 5, rel=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(rho=st.floats(1e-3, 1e3))
