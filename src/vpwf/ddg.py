@@ -12,10 +12,13 @@ Conventions, anchored by the round sphere with inward normal:
   exactly while staying pointwise consistent at irregular vertices.
 
 Each operator takes the face data of :func:`~vpwf.mesh.face_geometry`;
-:func:`build_cache` builds it once per mesh and passes it down.  The flow
-rebuilds the operator every step but connectivity almost never changes,
-so the sparsity pattern and all index arrays are derived once per faces
-array and only the cotangent data is refreshed.
+:func:`build_cache` builds it once per mesh and passes it down, together
+with the one half-cotangent array that the Laplacian and the vertex areas
+share.  Vertex vector fields are summed component-first, into the rows of
+a (3, n) array, and the cache's (n, 3) normals are a transposed view of
+those rows.  The flow rebuilds the operator every step but connectivity
+almost never changes, so the sparsity pattern and all index arrays are
+derived once per faces array and only the cotangent data is refreshed.
 
 Every sparse product runs scipy's compiled CSR kernel, ``_sparsetools``,
 on plain CSR arrays (:class:`CSR`).  The kernel is loaded from its own
@@ -35,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ZeroNormalError
-from .mesh import dot_rows, face_geometry
+from .mesh import dot3, face_geometry
 
 # Half-cotangents are clamped from below to limit blow-up on near-degenerate
 # triangles; the quality pass in the flow engine is the primary defense.
@@ -85,15 +88,19 @@ class CSR:
     shape: tuple
 
 
-def _matvec(a, x):
+def _matvec(a, x, out=None):
     """``a @ x`` for a CSR matrix ``a`` and a vector or (n, k) stack ``x``.
 
     ``a`` is a :class:`CSR` record: a cache's Laplacian or one of the
     connectivity's summation matrices.  This runs the compiled kernel that
     ``scipy.sparse``'s ``@`` ends up in, on the same arrays and into the
-    same zeroed output, so every sum keeps its order and its rounding.  It skips scipy's dispatch around the kernel, which
-    costs more than the product itself on meshes of a few thousand
-    vertices.
+    same zeroed output, so every sum keeps its order and its rounding.  It
+    skips scipy's dispatch around the kernel, which costs more than the
+    product itself on meshes of a few thousand vertices.
+
+    ``out``, for a vector ``x``, is a zero-filled array of ``a``'s row
+    count that receives the product (the kernel adds to it), such as one
+    row of a component-first (3, n) array.
     """
     rows, cols = a.shape
     x = np.asarray(x)
@@ -104,7 +111,8 @@ def _matvec(a, x):
             % (x.shape, rows, cols)
         )
     if x.ndim == 1:
-        out = np.zeros(rows)
+        if out is None:
+            out = np.zeros(rows)
         _sparsetools.csr_matvec(
             rows, cols, a.indptr, a.indices, a.data, x, out
         )
@@ -256,7 +264,7 @@ class GeometryCache:
     mesh: object
     laplacian: CSR              # cotangent operator, see build_laplacian
     mass: np.ndarray            # mixed Voronoi vertex areas, sums to area
-    normals: np.ndarray         # unit vertex normals
+    normals: np.ndarray         # (n, 3) unit vertex normals, see vertex_normals
     # dV/ds_i as vertex i moves by s_i along its normal: the volume's
     # gradient at i is -1/3 of the normal's area-weighted sum
     volume_slope: np.ndarray
@@ -277,22 +285,31 @@ class GeometryCache:
         return self.tracefree_sq + 0.5 * self.H ** 2
 
 
-def build_laplacian(mesh, face_data):
-    """Cotangent operator as a :class:`CSR` record, from ``face_data``.
+def half_cotangents(face_data):
+    """(3, m) half-cotangent of each corner's angle, dots / (4 areas).
 
-    Corner k's clamped half-cotangent weights the opposite edge; the
-    connectivity's ``assemble`` adds the weights up symmetrically with
-    zero row sums, on its sparsity pattern.
+    Unclamped: :func:`build_laplacian` clamps it and :func:`lumped_mass`
+    takes a quarter of it.
     """
     areas, _, dots, _ = face_data
-    half_cot = np.maximum(dots / (4.0 * areas), COT_HALF_WEIGHT_FLOOR)
+    return dots / (4.0 * areas)
+
+
+def build_laplacian(mesh, half_cot):
+    """Cotangent operator as a :class:`CSR` record.
+
+    Corner k's half-cotangent (:func:`half_cotangents`), clamped, weights
+    the opposite edge; the connectivity's ``assemble`` adds the weights up
+    symmetrically with zero row sums, on its sparsity pattern.
+    """
+    weights = np.maximum(half_cot, COT_HALF_WEIGHT_FLOOR)
     conn = _connectivity(mesh)
     n = conn.vertex_count
-    return CSR(_matvec(conn.assemble, half_cot.reshape(-1)), conn.indices,
+    return CSR(_matvec(conn.assemble, weights.reshape(-1)), conn.indices,
                conn.indptr, (n, n))
 
 
-def lumped_mass(mesh, face_data):
+def lumped_mass(mesh, face_data, half_cot):
     """Mixed Voronoi vertex areas (exact tiling, positive).
 
     Non-obtuse triangles contribute their circumcentric cell pieces
@@ -303,11 +320,13 @@ def lumped_mass(mesh, face_data):
     barycentric thirds.  This pairing with the cotangent operator is what
     keeps the curvature estimates pointwise consistent at irregular
     vertices (a one-third lumping leaves an O(1) error at the twelve
-    valence-5 vertices of any subdivided icosahedron).
+    valence-5 vertices of any subdivided icosahedron).  ``half_cot`` is
+    :func:`half_cotangents` of ``face_data``.
     """
     areas, _, dots, sq = face_data
-    # cot at corner k over 8, times the squared lengths of the edges at k
-    cot8 = dots / (16.0 * areas)
+    # cot at corner k over 8, times the squared lengths of the edges at k;
+    # a quarter of the half-cotangent is exact, being a power-of-two scaling
+    cot8 = 0.25 * half_cot
     shared = sq[0] * cot8[2]
     part = np.empty_like(cot8)
     part[0] = shared + sq[2] * cot8[1]
@@ -327,27 +346,37 @@ def vertex_normals(mesh, face_data):
 
     Returns (normals, lengths), ``lengths`` being the length of each
     vertex's sum of area-weighted face normals, the sum the normal
-    normalises.
+    normalises.  The sums are taken component by component into the rows
+    of a (3, n) array; ``normals`` is its (n, 3) transpose, a view.
     """
     areas, fnormals = face_data[:2]
     weighted = areas * fnormals
     face_sum = _connectivity(mesh).face_sum
-    acc = np.empty((mesh.vertex_count, 3))
+    acc = np.zeros((3, mesh.vertex_count))
     for a in range(3):
-        acc[:, a] = _matvec(face_sum, weighted[a])
-    norms = np.sqrt(dot_rows(acc, acc))
+        _matvec(face_sum, weighted[a], out=acc[a])
+    norms = np.sqrt(dot3(acc, acc))
     if (norms < 1e-14).any():
         bad = int(np.argmin(norms))
         raise ZeroNormalError(
             "vertex %d normal sum has magnitude %.3e" % (bad, norms[bad])
         )
-    return acc / norms[:, None], norms
+    acc /= norms
+    return acc.T, norms
 
 
 def mean_curvature(mesh, laplacian, mass, normals):
-    """H_i from the normal component of the mass-normalized Laplacian."""
-    lap_pos = _matvec(laplacian, mesh.positions)
-    return dot_rows(lap_pos, normals) / mass
+    """H_i from the normal component of the mass-normalized Laplacian.
+
+    The Laplacian is applied to the three coordinate rows of the
+    positions; ``normals`` is (n, 3), best the transposed view that
+    :func:`vertex_normals` returns, whose rows are then contiguous.
+    """
+    coords = np.ascontiguousarray(mesh.positions.T)
+    lap = np.zeros(coords.shape)
+    for a in range(3):
+        _matvec(laplacian, coords[a], out=lap[a])
+    return dot3(lap, normals.T) / mass
 
 
 def _corner_angles(face_data):
@@ -385,8 +414,9 @@ def build_cache(mesh, frame=None):
     the caller has it (the flow's volume check does).
     """
     face_data = face_geometry(mesh, frame)
-    laplacian = build_laplacian(mesh, face_data)
-    mass = lumped_mass(mesh, face_data)
+    half_cot = half_cotangents(face_data)
+    laplacian = build_laplacian(mesh, half_cot)
+    mass = lumped_mass(mesh, face_data, half_cot)
     normals, normal_lengths = vertex_normals(mesh, face_data)
     H = mean_curvature(mesh, laplacian, mass, normals)
     angles = _corner_angles(face_data)

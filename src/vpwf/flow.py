@@ -18,11 +18,12 @@ its geometry is then built from, and only when it misses the tolerance
 does a safeguarded Newton projection along the normals continue from
 there (:func:`volume_project`).  So a step gathers its face corners once.
 
-The accepted trial geometry becomes the next step's cache, and the
-accepted state carries its rates (lam, xi, max|xi| and wbar,
-:class:`Rates`): the driver's stop checks read them and the next step
-moves by them, so the flow costs one geometry build and one rate
-evaluation per step.
+Every trial settles into its geometry and its rates (lam, xi, max|xi|
+and wbar, :class:`Rates`) at once; the velocity's finiteness check is
+the trial's blow-up check.  The accepted trial's geometry becomes the
+next step's cache and its rates the state's: :func:`run`'s stop checks
+read them and the next step moves by them, so the flow costs one
+geometry build and one rate evaluation per trial.
 """
 
 import math
@@ -169,7 +170,7 @@ def initial_state(mesh, cache=None):
         target_volume=volume,
         volume=volume,
         cache=cache,
-        rates=_rates(cache, wbar(cache)),
+        rates=_rates(cache),
     )
 
 
@@ -188,11 +189,11 @@ def velocity(cache, lam):
     return xi
 
 
-def _rates(cache, wb):
-    """The :class:`Rates` of an accepted cache whose wbar is ``wb``."""
+def _rates(cache):
+    """The :class:`Rates` of ``cache``."""
     lam = lagrange_multiplier(cache)
     xi = velocity(cache, lam)
-    return Rates(lam, xi, float(np.abs(xi).max()), wb)
+    return Rates(lam, xi, float(np.abs(xi).max()), wbar(cache))
 
 
 def choose_dt(cache, config, max_speed):
@@ -266,12 +267,13 @@ def volume_project(mesh, normals, target_volume, tol, total_area, frame):
 
 
 class _Trial(NamedTuple):
-    """A settled proposal: its mesh, geometry and wbar, the volume its
-    projection check measured and the remainder that check found."""
+    """A settled proposal: its mesh, geometry and :class:`Rates`, the
+    volume its projection check measured and the remainder that check
+    found.  The rates are what the next step moves by if it is accepted."""
 
     mesh: TriMesh
     cache: object
-    wbar: float
+    rates: Rates
     volume: float
     volume_remainder: float
 
@@ -307,20 +309,22 @@ def _advance(state, cache, xi, dt, config):
             mesh, cache.normals, target, config.projection_tol,
             cache.total_area, frame,
         )
-    trial_cache, wb = _settle(mesh, frame)
-    return _Trial(mesh, trial_cache, wb, volume, remainder)
+    trial_cache, rates = _settle(mesh, frame)
+    return _Trial(mesh, trial_cache, rates, volume, remainder)
 
 
 def _settle(mesh, frame):
-    """Build the geometry of a projected proposal; returns (cache, wbar).
+    """Build the geometry and rates of a projected proposal.
 
-    Raises ``NonFiniteError`` when the curvature blows up, and
-    ``build_cache``'s failures among ``_TRIAL_FAILURES``.
+    Returns (cache, :class:`Rates`), ``frame`` being the mesh's
+    :class:`~vpwf.mesh.FaceFrame`.  The rates are evaluated on every
+    trial, so an accepted one is never evaluated again.  Raises
+    ``NonFiniteError`` when the velocity is not finite, as it is not
+    whenever H or lap(H) is not, and ``build_cache``'s failures among
+    ``_TRIAL_FAILURES``.
     """
     cache = build_cache(mesh, frame)
-    if not (np.isfinite(cache.H).all() and np.isfinite(cache.lap_H).all()):
-        raise NonFiniteError("curvature blow-up after step")
-    return cache, wbar(cache)
+    return cache, _rates(cache)
 
 
 def _no_energy_rise(before, after, config):
@@ -352,7 +356,7 @@ def step(state, config):
         wb_trial = math.nan
         try:
             trial = _advance(state, cache, xi, dt, config)
-            wb_trial = trial.wbar
+            wb_trial = trial.rates.wbar
             if _no_energy_rise(wb, wb_trial, config):
                 break
         except _TRIAL_FAILURES as exc:
@@ -379,19 +383,21 @@ def step(state, config):
         # mesh maintenance must not break the monotone-energy contract; a
         # pass that fails or raises the energy is skipped rather than applied
         try:
-            improved, face_data = quality_pass(trial.mesh, config, trial.cache)
+            improved, frame, face_data = quality_pass(
+                trial.mesh, config, trial.cache
+            )
             improved, frame, volume = volume_project(
                 improved, ddg.vertex_normals(improved, face_data)[0],
                 state.target_volume, config.projection_tol,
-                float(np.sum(face_data[0])), face_frame(improved),
+                float(np.sum(face_data[0])), frame,
             )
-            improved_cache, wb_improved = _settle(improved, frame)
+            improved_cache, improved_rates = _settle(improved, frame)
         except (QualityCollapseError,) + _TRIAL_FAILURES:
             pass
         else:
-            if _no_energy_rise(trial.wbar, wb_improved, config):
+            if _no_energy_rise(trial.rates.wbar, improved_rates.wbar, config):
                 trial = trial._replace(mesh=improved, cache=improved_cache,
-                                       wbar=wb_improved, volume=volume)
+                                       rates=improved_rates, volume=volume)
 
     return FlowState(
         mesh=trial.mesh,
@@ -407,7 +413,7 @@ def step(state, config):
         volume=trial.volume,
         volume_remainder=trial.volume_remainder,
         cache=trial.cache,
-        rates=_rates(trial.cache, trial.wbar),
+        rates=trial.rates,
     )
 
 
@@ -475,9 +481,10 @@ def quality_pass(mesh, config, cache):
     geometry of ``mesh``, supplies the flip angles and, when nothing
     flips, the vertex normals.
 
-    Returns (mesh, face data), the face data being
-    :func:`~vpwf.mesh.face_geometry` of the returned mesh, built once for
-    the quality check.
+    Returns (mesh, frame, face data): the returned mesh's
+    :class:`~vpwf.mesh.FaceFrame` and its
+    :func:`~vpwf.mesh.face_geometry`, built once for the quality check and
+    handed on to the step's projection.
 
     Raises
     ------
@@ -504,8 +511,9 @@ def quality_pass(mesh, config, cache):
         )[:, None] * normals
         mesh = mesh.with_positions(mesh.positions + weight * tangential)
 
+    frame = face_frame(mesh)
     try:
-        face_data = face_geometry(mesh)
+        face_data = face_geometry(mesh, frame)
     except DegenerateFaceError as exc:
         raise QualityCollapseError(
             "a face degenerated in the quality pass: %s" % exc
@@ -515,7 +523,7 @@ def quality_pass(mesh, config, cache):
         raise QualityCollapseError(
             "minimum face quality fell below %.1e" % qc.min_quality
         )
-    return mesh, face_data
+    return mesh, frame, face_data
 
 
 def run(mesh, config, record_fn=None):

@@ -66,6 +66,11 @@ def scale_defect(mesh, cache, origin=None):
 def translation_defect(cache):
     """Norm of sum_i grad_i nu_i M_i, zero for the smooth energy."""
     grad = scalar_willmore_gradient(cache)
-    vec = np.sum(grad[:, None] * cache.normals * cache.mass[:, None], axis=0)
+    # a C-ordered array is summed one vertex row after another; the cache's
+    # normals are a transposed view, whose column sums would run pairwise
+    terms = np.ascontiguousarray(
+        grad[:, None] * cache.normals * cache.mass[:, None]
+    )
+    vec = terms.sum(axis=0)
     return float(np.linalg.norm(vec))
 

@@ -11,6 +11,7 @@ every flow step builds a successor mesh instead of mutating in place, so a
 mesh can be shared freely across threads for read-only analysis.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,11 +50,6 @@ def dot3(a, b):
     out += a[1] * b[1]
     out += a[2] * b[2]
     return out
-
-
-def dot_rows(a, b):
-    """Row-wise dot product of (n, 3) arrays."""
-    return dot3(a.T, b.T)
 
 
 def bounding_box_extent(points):
@@ -128,10 +124,18 @@ class TriMesh:
         return out
 
     def bounding_box_diagonal(self):
-        return float(np.linalg.norm(bounding_box_extent(self.positions)))
+        # np.linalg.norm of a 1-D real array is this square root of a dot
+        # product, bit for bit; its dispatch costs more than the sum
+        extent = bounding_box_extent(self.positions)
+        return math.sqrt(float(extent.dot(extent)))
 
     def area_floor(self):
-        """Face-area degeneracy floor for this mesh's scale (cached)."""
+        """Face-area degeneracy floor for this mesh's scale (cached).
+
+        It is never carried over by :meth:`with_positions`: the floor scales
+        with the positions' own bounding box, so a successor keeping its
+        parent's floor would not reject exactly the faces a fresh mesh does.
+        """
         if self._area_floor is None:
             diag = self.bounding_box_diagonal()
             self._area_floor = AREA_FLOOR_SCALE * (diag * diag if diag else 1.0)
@@ -148,25 +152,33 @@ class FaceFrame(NamedTuple):
     """A mesh's corners, edges and edge cross products, gathered once.
 
     Every field is component-first: ``corners[a, k, f]`` is coordinate
-    ``a`` of corner ``k`` of face ``f``, ``edges[:, k]`` runs from corner k
-    to corner k+1 (e01, e12, e20) and ``cross`` is e01 x e12, twice the
+    ``a`` of corner ``k`` of face ``f``.  ``ring`` holds the edges e20,
+    e01, e12, e20 in its four slots, so that :attr:`edges`, edge k from
+    corner k to corner k+1, is ``ring[:, 1:]`` and edge k-1 is
+    ``ring[:, :3]``: both are views.  ``cross`` is e01 x e12, twice the
     face area along the winding normal.  ``corners[:, k]`` and
     ``edges[:, k]`` are (3, m) vector fields for :func:`cross3` and
     :func:`dot3`.
     """
 
     corners: np.ndarray
-    edges: np.ndarray
+    ring: np.ndarray
     cross: np.ndarray
+
+    @property
+    def edges(self):
+        """(3, 3, m) edges e01, e12, e20, a view of :attr:`ring`."""
+        return self.ring[:, 1:]
 
 
 def face_frame(mesh):
     """The :class:`FaceFrame` of ``mesh``: one gather of its corners."""
     corners = np.take(mesh.positions.T, mesh.faces.T, axis=1)
-    edges = np.empty_like(corners)
-    np.subtract(corners[:, 1:], corners[:, :2], out=edges[:, :2])
-    np.subtract(corners[:, 0], corners[:, 2], out=edges[:, 2])
-    return FaceFrame(corners, edges, cross3(edges[:, 0], edges[:, 1]))
+    ring = np.empty((3, 4, corners.shape[2]))
+    np.subtract(corners[:, 1:], corners[:, :2], out=ring[:, 1:3])
+    np.subtract(corners[:, 0], corners[:, 2], out=ring[:, 3])
+    ring[:, 0] = ring[:, 3]
+    return FaceFrame(corners, ring, cross3(ring[:, 1], ring[:, 2]))
 
 
 def tet_volume(frame):
@@ -188,8 +200,10 @@ def face_geometry(mesh, frame=None):
     component-first, shape (3, m): ``normals[a]`` is coordinate a,
     ``dots[k]`` the dot product of the two edges leaving corner k and
     ``sq[k]`` the squared length of the edge from corner k to corner k+1.
-    ``frame`` lets a caller that already built the mesh's
-    :class:`FaceFrame` (the flow's volume check does) hand it over.
+    Both are read off the frame's edge ring, whose edge k and edge k-1 are
+    views, so no edge array is copied.  ``frame`` lets a caller that
+    already built the mesh's :class:`FaceFrame` (the flow's volume check
+    and the quality pass do) hand it over.
 
     Raises
     ------
@@ -198,7 +212,7 @@ def face_geometry(mesh, frame=None):
     """
     if frame is None:
         frame = face_frame(mesh)
-    edges, cross = frame.edges, frame.cross
+    ring, edges, cross = frame.ring, frame.edges, frame.cross
     double_area = np.sqrt(dot3(cross, cross))
     areas = 0.5 * double_area
     floor = mesh.area_floor()
@@ -210,7 +224,7 @@ def face_geometry(mesh, frame=None):
         )
     normals = cross / double_area
     # the edges leaving corner k are edge k and the reverse of edge k-1
-    dots = np.negative(dot3(edges, edges[:, [2, 0, 1]]))
+    dots = np.negative(dot3(edges, ring[:, :3]))
     sq = dot3(edges, edges)
     return areas, normals, dots, sq
 

@@ -241,3 +241,90 @@ def per_row_obj_text(positions, faces, comments=()):
     for f in faces:
         out.append("f %d %d %d\n" % (f[0] + 1, f[1] + 1, f[2] + 1))
     return "".join(out)
+
+
+def reference_geometry(mesh):
+    """Every :class:`~vpwf.ddg.GeometryCache` field by the earlier formulas.
+
+    These are the formulas the package used before it kept its edges in a
+    ring, summed vertex vectors component-first and shared one
+    half-cotangent array; each rewrite claims the same bits:
+
+    * the corner dots pair the edges with a fancy-indexed copy, edge k with
+      edge k-1 by ``edges[:, [2, 0, 1]]``;
+    * the normals are summed into the columns of an (n, 3) array;
+    * the Laplacian is applied to the (n, 3) positions in one
+      ``csr_matvecs`` call and dotted with the normals row by row;
+    * the vertex areas take cot/8 as dots / (16 areas).
+
+    Returns a dict keyed by field name; ``laplacian`` is the CSR record's
+    (data, indices, indptr).
+    """
+    from vpwf.ddg import CSR, COT_HALF_WEIGHT_FLOOR, _connectivity, _matvec
+    from vpwf.mesh import cross3, dot3
+
+    corners = np.take(mesh.positions.T, mesh.faces.T, axis=1)
+    edges = np.empty_like(corners)
+    edges[:, :2] = corners[:, 1:] - corners[:, :2]
+    edges[:, 2] = corners[:, 0] - corners[:, 2]
+    cross = cross3(edges[:, 0], edges[:, 1])
+    double_area = np.sqrt(dot3(cross, cross))
+    areas = 0.5 * double_area
+    face_normals = cross / double_area
+    dots = np.negative(dot3(edges, edges[:, [2, 0, 1]]))
+    sq = dot3(edges, edges)
+
+    conn = _connectivity(mesh)
+    half_cot = np.maximum(dots / (4.0 * areas), COT_HALF_WEIGHT_FLOOR)
+    laplacian_data = _matvec(conn.assemble, half_cot.reshape(-1))
+
+    cot8 = dots / (16.0 * areas)
+    part = np.empty_like(cot8)
+    part[0] = sq[0] * cot8[2] + sq[2] * cot8[1]
+    part[1] = sq[0] * cot8[2] + sq[1] * cot8[0]
+    part[2] = sq[2] * cot8[1] + sq[1] * cot8[0]
+    obtuse = dots < 0.0
+    any_obtuse = obtuse.any(axis=0)
+    spread = np.broadcast_to(areas, part.shape)
+    part[:, any_obtuse] = 0.25 * spread[:, any_obtuse]
+    part[obtuse] = 0.5 * spread[obtuse]
+    mass = _matvec(conn.corner_sum, part.reshape(-1))
+
+    weighted = areas * face_normals
+    acc = np.empty((mesh.vertex_count, 3))
+    for a in range(3):
+        acc[:, a] = _matvec(conn.face_sum, weighted[a])
+    lengths = np.sqrt(dot3(acc.T, acc.T))
+    normals = acc / lengths[:, None]
+
+    n = mesh.vertex_count
+    laplacian = CSR(laplacian_data, conn.indices, conn.indptr, (n, n))
+    lap_pos = _matvec(laplacian, mesh.positions)
+    H = dot3(lap_pos.T, normals.T) / mass
+    angles = np.arctan2(2.0 * areas, dots)
+    K = (2.0 * np.pi - _matvec(conn.corner_sum, angles.reshape(-1))) / mass
+    return {
+        "laplacian": (laplacian_data, conn.indices, conn.indptr),
+        "mass": mass,
+        "normals": normals,
+        "volume_slope": lengths / -3.0,
+        "H": H,
+        "K": K,
+        "tracefree_sq": np.maximum(0.5 * H ** 2 - 2.0 * K, 0.0),
+        "lap_H": _matvec(laplacian, H) / mass,
+        "face_areas": areas,
+        "face_sq": sq,
+        "corner_angles": angles,
+        "total_area": float(areas.sum()),
+        "h_min": float(np.sqrt(sq.min())),
+    }
+
+
+def reference_rates(cache):
+    """(lam, xi, max|xi|, wbar) of ``cache``, one public call per field."""
+    from vpwf.flow import velocity
+    from vpwf.functionals import lagrange_multiplier, wbar
+
+    lam = lagrange_multiplier(cache)
+    xi = velocity(cache, lam)
+    return lam, xi, float(np.abs(xi).max()), wbar(cache)

@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 
@@ -13,6 +14,7 @@ from vpwf.ddg import (
     build_cache,
     build_laplacian,
     gaussian_curvature,
+    half_cotangents,
     lumped_mass,
     mean_curvature,
     tracefree_sq,
@@ -21,13 +23,15 @@ from vpwf.ddg import (
 from vpwf import ddg
 from vpwf.errors import DegenerateFaceError, ZeroNormalError
 from vpwf.functionals import signed_volume
-from vpwf.generators import icosphere, torus
-from vpwf.mesh import TriMesh, face_geometry
+from vpwf.generators import ellipsoid, icosphere, torus
+from vpwf.mesh import TriMesh, face_frame, face_geometry
 
 from oracles import (
     csr_matrix,
     laplacian_of_scalar,
     octahedron,
+    reference_geometry,
+    reference_rates,
     sphere_values,
     torus_curvatures,
 )
@@ -37,11 +41,17 @@ def flipped(mesh):
     return TriMesh(mesh.positions, mesh.faces[:, [0, 2, 1]])
 
 
+def mass_of(mesh):
+    """:func:`lumped_mass` of ``mesh`` from its own face data."""
+    face_data = face_geometry(mesh)
+    return lumped_mass(mesh, face_data, half_cotangents(face_data))
+
+
 class TestLumpedMass:
     def test_octahedron_thirds(self):
         # equilateral faces: the mixed cell is exactly the barycentric third
         mesh = octahedron()
-        mass = lumped_mass(mesh, face_geometry(mesh))
+        mass = mass_of(mesh)
         assert np.allclose(mass, 4 * np.sqrt(3) / 6, rtol=1e-14)
         assert mass.sum() == pytest.approx(4 * np.sqrt(3), rel=1e-14)
 
@@ -59,7 +69,7 @@ class TestLumpedMass:
         positions = np.array(mesh.positions)
         positions[0] *= 1.01
         moved = TriMesh(positions, mesh.faces)
-        other = lumped_mass(moved, face_geometry(moved))
+        other = mass_of(moved)
         ring = set(mesh.faces[np.any(mesh.faces == 0, axis=1)].reshape(-1))
         untouched = np.setdiff1d(np.arange(mesh.vertex_count), sorted(ring))
         assert np.array_equal(other[untouched], cache.mass[untouched])
@@ -70,7 +80,7 @@ class TestLumpedMass:
         mesh = octahedron()
         squashed = TriMesh(mesh.positions * [1.0, 1.0, 0.2], mesh.faces)
         areas = face_geometry(squashed)[0]
-        mass = lumped_mass(squashed, face_geometry(squashed))
+        mass = mass_of(squashed)
         assert mass.sum() == pytest.approx(areas.sum(), rel=1e-14)
         assert np.all(mass > 0)
 
@@ -372,3 +382,59 @@ class TestRefinementConvergence:
             for _, cache in (sphere3, sphere4, sphere5)
         ]
         assert errs[0] / errs[1] >= 1.8 and errs[1] / errs[2] >= 1.8
+
+
+# unjittered meshes of the bit-identity test, built once
+_BASE_MESHES = {
+    "icosphere2": lambda: icosphere(2),
+    "icosphere3": lambda: icosphere(3),
+    "ellipsoid2": lambda: ellipsoid(1.2, 1.0, 0.85, 2),
+    "ellipsoid3": lambda: ellipsoid(1.2, 1.0, 0.85, 3),
+    "torus": lambda: torus(2.0, 0.7, 24, 12),
+}
+
+
+@functools.cache
+def _base_mesh(shape):
+    return _BASE_MESHES[shape]()
+
+
+class TestBitIdentity:
+    """The trial's geometry and rates keep every bit of the earlier
+    formulas in ``oracles.reference_geometry``: the edge ring, the
+    component-first vertex sums and the shared half-cotangents are pure
+    rewrites."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from(sorted(_BASE_MESHES)),
+        seed=st.integers(0, 2 ** 32 - 1),
+        # up to a fifth of the shortest edge: obtuse corners appear, and
+        # no face degenerates
+        jitter=st.floats(0.0, 0.2),
+    )
+    def test_cache_and_rates_match_the_reference(self, shape, seed, jitter):
+        from vpwf.flow import _settle
+
+        base = _base_mesh(shape)
+        h = float(np.sqrt(face_geometry(base)[3].min()))
+        noise = np.random.default_rng(seed).uniform(
+            -1.0, 1.0, base.positions.shape)
+        mesh = base.with_positions(base.positions + jitter * h * noise)
+        want = reference_geometry(mesh)
+        for cache in (build_cache(mesh),
+                      build_cache(mesh, face_frame(mesh))):
+            lap = cache.laplacian
+            for got, ref in zip((lap.data, lap.indices, lap.indptr),
+                                want["laplacian"]):
+                assert np.array_equal(got, ref)
+            for name, ref in want.items():
+                if name != "laplacian":
+                    got = getattr(cache, name)
+                    assert np.shape(got) == np.shape(ref), name
+                    assert np.array_equal(got, ref), name
+        cache, rates = _settle(mesh, face_frame(mesh))
+        lam, xi, max_speed, wb = reference_rates(cache)
+        assert (rates.lam, rates.max_speed, rates.wbar) == (
+            lam, max_speed, wb)
+        assert np.array_equal(rates.xi, xi)

@@ -305,7 +305,7 @@ class TestStep:
         try:
             wb_trial = flow._advance(
                 before, before.cache, before.rates.xi, dt, config
-            ).wbar
+            ).rates.wbar
         except NonFiniteError:
             pass
         else:
@@ -383,24 +383,53 @@ class TestStep:
         assert a.time == b.time
         assert a.accum_L43 == b.accum_L43
 
-    @pytest.mark.parametrize("failure", ["collapse", "projection"])
+    @pytest.mark.parametrize("failure", ["collapse", "projection",
+                                         "velocity"])
     def test_failing_quality_pass_is_skipped(self, monkeypatch, failure):
-        # a pass whose quality check or re-projection fails is skipped like
-        # an energy-raising one: the run equals the run without passes
+        # a pass whose quality check, re-projection or rates fail is skipped
+        # like an energy-raising one: the run equals the run without passes
         from vpwf import flow
 
         if failure == "collapse":
             quality = QualityConfig(enabled=True, cadence_steps=1,
                                     min_quality=0.99)
+        elif failure == "velocity":
+            quality = QualityConfig(enabled=True, cadence_steps=1)
+            pass_fn, project_fn = flow.quality_pass, flow.volume_project
+            multiplier_fn = flow.lagrange_multiplier
+            maintained = []
+
+            def record_pass(mesh, config, cache):
+                out = pass_fn(mesh, config, cache)
+                maintained.append(out[0])
+                return out
+
+            def record_projection(mesh, *args):
+                out = project_fn(mesh, *args)
+                if any(mesh is m for m in maintained):
+                    maintained.append(out[0])
+                return out
+
+            def overflow(cache):
+                # the maintained mesh's curvature stays finite and its
+                # velocity does not
+                if any(cache.mesh is m for m in maintained):
+                    return np.inf
+                return multiplier_fn(cache)
+
+            monkeypatch.setattr(flow, "quality_pass", record_pass)
+            monkeypatch.setattr(flow, "volume_project", record_projection)
+            monkeypatch.setattr(flow, "lagrange_multiplier", overflow)
         else:
             quality = QualityConfig(enabled=True, cadence_steps=1)
             pass_fn = flow.quality_pass
 
             def inflate(mesh, config, cache):
                 # twice the size is past what the projection bridges
-                out, _ = pass_fn(mesh, config, cache)
+                out, _, _ = pass_fn(mesh, config, cache)
                 out = out.with_positions(2.0 * out.positions)
-                return out, face_geometry(out)
+                frame = face_frame(out)
+                return out, frame, face_geometry(out, frame)
 
             monkeypatch.setattr(flow, "quality_pass", inflate)
         mesh = ellipsoid(1.2, 1.0, 0.85, 2)
@@ -423,7 +452,7 @@ class TestQualityPass:
             quality=QualityConfig(enabled=True,
                                   tangential_smoothing_weight=0.0)
         )
-        out, _ = quality_pass(mesh, config, cache)
+        out, _, _ = quality_pass(mesh, config, cache)
         assert np.array_equal(out.positions, mesh.positions)
 
     def test_already_delaunay_no_flips(self, sphere3):
@@ -437,7 +466,7 @@ class TestQualityPass:
             quality=QualityConfig(enabled=True,
                                   tangential_smoothing_weight=0.3)
         )
-        out, _ = quality_pass(mesh, config, cache)
+        out, _, _ = quality_pass(mesh, config, cache)
         displacement = out.positions - mesh.positions
         normal_part = np.sum(displacement * cache.normals, axis=1)
         assert np.max(np.abs(normal_part)) <= 1e-12
@@ -449,7 +478,7 @@ class TestQualityPass:
                                   tangential_smoothing_weight=0.1)
         )
         before = signed_volume(mesh)
-        out, _ = quality_pass(mesh, config, cache)
+        out, _, _ = quality_pass(mesh, config, cache)
         assert abs(signed_volume(out) - before) <= 1e-6 * abs(before)
 
     def test_flips_fire_and_preserve_validity(self):
@@ -513,11 +542,12 @@ class TestQualityPass:
         # the pairing and umbrella are kept per faces array: a pass on a
         # mesh that already built them must match one on a fresh mesh
         fresh = TriMesh(mesh.positions, mesh.faces)
-        plain, plain_data = quality_pass(fresh, config, build_cache(fresh))
+        plain, _, plain_data = quality_pass(fresh, config,
+                                            build_cache(fresh))
         cache = build_cache(mesh)
         conn = _connectivity(mesh)
         assert conn.pairing.closed and conn.umbrella is not None
-        cached, cached_data = quality_pass(mesh, config, cache)
+        cached, _, cached_data = quality_pass(mesh, config, cache)
         assert np.array_equal(cached.positions, plain.positions)
         assert np.array_equal(cached.faces, plain.faces)
         for got, want in zip(cached_data, plain_data):
@@ -556,7 +586,10 @@ class TestQualityPass:
         config = FlowConfig(quality=QualityConfig(
             enabled=True, tangential_smoothing_weight=weight,
             min_quality=0.0))
-        out, face_data = quality_pass(mesh, config, build_cache(mesh))
+        out, frame, face_data = quality_pass(mesh, config, build_cache(mesh))
+        expected_frame = face_frame(out)
+        for got, want in zip(frame, expected_frame):
+            assert np.array_equal(got, want)
         expected = face_geometry(out)
         assert len(face_data) == len(expected)
         for got, want in zip(face_data, expected):
@@ -693,17 +726,23 @@ class TestOneStep:
             assert state.rates.wbar == wbar(cache)
 
     def test_step_builds_smoothed_face_data_once(self, monkeypatch):
-        # the quality pass hands the face data of its output mesh to the
-        # step's projection, so that mesh's face geometry is built once
+        # the quality pass hands the frame and face data of its output mesh
+        # to the step's projection, so that mesh's corners are gathered and
+        # its face geometry is built once
         from vpwf import flow
+        from vpwf import mesh as mesh_module
 
-        built, projected_from, smoothed = [], [], []
+        built, framed, projected_from, smoothed = [], [], [], []
         face_geometry_fn, project_fn = flow.face_geometry, flow.volume_project
-        pass_fn = flow.quality_pass
+        face_frame_fn, pass_fn = flow.face_frame, flow.quality_pass
 
         def spy_face_geometry(mesh, frame=None):
             built.append(mesh)
             return face_geometry_fn(mesh, frame)
+
+        def spy_face_frame(mesh):
+            framed.append(mesh)
+            return face_frame_fn(mesh)
 
         def spy_project(mesh, *args, **kwargs):
             projected_from.append(mesh)
@@ -715,6 +754,10 @@ class TestOneStep:
             return out
 
         monkeypatch.setattr(flow, "face_geometry", spy_face_geometry)
+        # face_geometry gathers through the mesh module's name when it is
+        # handed no frame
+        monkeypatch.setattr(flow, "face_frame", spy_face_frame)
+        monkeypatch.setattr(mesh_module, "face_frame", spy_face_frame)
         monkeypatch.setattr(flow, "volume_project", spy_project)
         monkeypatch.setattr(flow, "quality_pass", spy_pass)
         step(initial_state(self.mesh), self.quality_every_step(1))
@@ -723,6 +766,7 @@ class TestOneStep:
         assert len(smoothed) == 1
         assert projected_from[-1] is smoothed[0]
         assert sum(m is smoothed[0] for m in built) == 1
+        assert sum(m is smoothed[0] for m in framed) == 1
 
     def test_step_from_initial_state_is_first_step_of_run(self):
         config = self.quality_every_step(1)

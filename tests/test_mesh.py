@@ -124,6 +124,20 @@ class TestFaceGeometry:
     def test_shortest_edge(self):
         assert shortest_edge_length(octahedron()) == pytest.approx(np.sqrt(2))
 
+    def test_frame_edge_ring(self):
+        # edge k runs from corner k to corner k+1; edge k-1 is the ring's
+        # first three slots, and both are views of the one ring
+        mesh = ellipsoid(1.2, 1.0, 0.85, 1)
+        frame = face_frame(mesh)
+        p = mesh.positions[mesh.faces].transpose(2, 1, 0)
+        expected = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1],
+                             p[:, 0] - p[:, 2]], axis=1)
+        assert np.array_equal(frame.edges, expected)
+        assert np.array_equal(frame.ring[:, :3], expected[:, [2, 0, 1]])
+        assert frame.edges.base is frame.ring
+        assert np.array_equal(frame.cross,
+                              np.cross(expected[:, 0].T, expected[:, 1].T).T)
+
 
 CLOSED_MESHES = [
     octahedron,
@@ -177,6 +191,58 @@ class TestTriMesh:
         mesh.topology()
         moved = mesh.with_positions(mesh.positions * 2.0)
         assert moved.topology() is mesh.topology()
+
+    @pytest.mark.parametrize("make_mesh", CLOSED_MESHES)
+    @pytest.mark.parametrize("scale, shift", [
+        (1.0, (0.0, 0.0, 0.0)), (1.0 + 1e-9, (1e-7, 0.0, -1e-7)),
+        (3.7, (2.5, -1.0, 0.5)), (1e-3, (-40.0, 30.0, 25.0)),
+    ])
+    def test_with_positions_floor_matches_a_fresh_mesh(
+        self, make_mesh, scale, shift
+    ):
+        mesh = make_mesh()
+        mesh.area_floor()  # cached on the source mesh
+        positions = scale * mesh.positions + np.array(shift)
+        moved = mesh.with_positions(positions)
+        fresh = TriMesh(positions, mesh.faces)
+        # np.linalg.norm of the extent, the floor's earlier formula
+        diag = float(np.linalg.norm(positions.max(axis=0)
+                                    - positions.min(axis=0)))
+        assert moved.area_floor() == fresh.area_floor() == 1e-12 * (diag * diag)
+
+    @staticmethod
+    def tiny_face_tetrahedron(ratio):
+        """A tetrahedron whose face 0 has ``ratio`` times its area floor.
+
+        Face 0 is the right triangle of legs s at the origin; the apex at
+        height 1 makes the squared bounding-box diagonal 2 s^2 + 1.
+        """
+        q = 2e-12 * ratio
+        s = np.sqrt(q / (1.0 - 2.0 * q))
+        positions = [[0, 0, 0], [s, 0, 0], [0, s, 0], [0, 0, 1]]
+        faces = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [2, 0, 3]]
+        return np.array(positions, dtype=float), np.array(faces)
+
+    def test_face_just_under_the_floor_raises(self):
+        positions, faces = self.tiny_face_tetrahedron(1.0 - 1e-6)
+        diag_sq = float(np.linalg.norm(positions.max(axis=0))) ** 2
+        area = 0.5 * positions[1, 0] * positions[2, 1]
+        message = "face 0 has area %.3e below floor %.3e" % (
+            area, 1e-12 * diag_sq)
+        source = TriMesh(positions + [[0.0, 0.0, 5.0]], faces)
+        source.area_floor()
+        for mesh in (TriMesh(positions, faces),
+                     source.with_positions(positions)):
+            with pytest.raises(DegenerateFaceError) as info:
+                face_geometry(mesh)
+            assert str(info.value) == message
+
+    def test_face_just_over_the_floor_passes(self):
+        positions, faces = self.tiny_face_tetrahedron(1.0 + 1e-6)
+        areas = face_geometry(TriMesh(positions, faces))[0]
+        assert areas[0] == pytest.approx(
+            1e-12 * float(np.linalg.norm(positions.max(axis=0))) ** 2,
+            rel=2e-6)
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
