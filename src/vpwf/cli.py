@@ -87,10 +87,10 @@ def _add_flow_args(p):
                         "while the surface is still visibly non-round, so "
                         "use --speed-tol to detect convergence")
     p.add_argument("--quality", action="store_true", default=False,
-                   help="enable edge flips and tangential smoothing")
+                   help="flip edges whose opposite angles sum above "
+                        "--flip-threshold every --quality-cadence steps")
     p.add_argument("--quality-cadence", type=int, default=25)
     p.add_argument("--flip-threshold", type=float, default=math.pi)
-    p.add_argument("--smoothing-weight", type=float, default=0.1)
     p.add_argument("--record-cadence", type=int, default=10)
     p.add_argument("--kappa-radii", type=_float_list, default=(0.5, 1.0, 4.0))
     p.add_argument("--snapshot-times", type=_float_list, default=())
@@ -212,7 +212,6 @@ def _flow_config(args):
         quality=QualityConfig(
             enabled=args.quality,
             flip_threshold_angle=args.flip_threshold,
-            tangential_smoothing_weight=args.smoothing_weight,
             cadence_steps=args.quality_cadence,
         ),
         record_cadence=args.record_cadence,

@@ -147,8 +147,8 @@ class _Connectivity:
     of face ``f`` sits at flat index ``k * m + f``.  The summation matrices
     scatter such data to vertices (``corner_sum``: one value per corner,
     ``face_sum``: one value per face) and to the Laplacian's nonzeros
-    (``assemble``).  The mesh-maintenance structures, :attr:`pairing` and
-    :attr:`umbrella`, are built on first use.
+    (``assemble``).  The edge-flip pass's half-edge pairing,
+    :attr:`pairing`, is built on first use.
     """
 
     def __init__(self, faces, vertex_count):
@@ -195,21 +195,6 @@ class _Connectivity:
     def pairing(self):
         """Half-edges paired into edges (:class:`_EdgePairing`)."""
         return _EdgePairing(self.faces, self.vertex_count)
-
-    @cached_property
-    def umbrella(self):
-        """(neighbour sum, degree): the sum of each vertex's edge neighbours.
-
-        ``_matvec(neighbour_sum, x)`` adds ``x`` over the neighbours in the
-        order of ``np.bincount`` over the sorted edge list, both directions
-        of each edge in turn; ``degree`` is the neighbour count as floats.
-        """
-        n = self.vertex_count
-        lo, hi = np.divmod(self.pairing.codes, n)
-        idx = np.concatenate([lo, hi])
-        other = np.concatenate([hi, lo])
-        degree = np.bincount(idx, minlength=n).astype(np.float64)
-        return _summation_matrix(idx, other, (n, n)), degree
 
 
 class _EdgePairing:

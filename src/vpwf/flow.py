@@ -65,13 +65,24 @@ _TRIAL_FAILURES = (
 )
 
 
+# a flip must beat its threshold by this much: the quads of a torus of
+# revolution are cocircular, and their opposite-angle sums sit on pi to
+# within a few ulps of it
+FLIP_MARGIN = 1e-12
+
+
 @dataclass
 class QualityConfig:
-    """Opt-in mesh maintenance: Delaunay-style flips plus tangential smoothing."""
+    """Opt-in mesh maintenance: Delaunay-style edge flips.
+
+    Every ``cadence_steps`` steps, each edge whose two opposite angles sum
+    to more than ``flip_threshold_angle`` (plus ``FLIP_MARGIN``) is a flip
+    candidate; a flipped mesh whose smallest face shape quality falls
+    below ``min_quality`` is not kept.
+    """
 
     enabled: bool = False
     flip_threshold_angle: float = math.pi  # radians; opposite-angle sum
-    tangential_smoothing_weight: float = 0.1
     cadence_steps: int = 25
     min_quality: float = 1e-3
 
@@ -237,7 +248,8 @@ def volume_project(mesh, normals, target_volume, tol, total_area, frame):
     at most ``MAX_PROJECTION_ITERATIONS`` iterations.  It refuses volume
     errors of 50% or more.  The flow's step calls it only when its
     predicted correction missed (:func:`_advance`), so ``mesh`` is then
-    already corrected once; the quality pass calls it on every pass.
+    already corrected once; the quality pass calls it on every mesh that
+    its edge flips changed.
 
     Returns (projected mesh, its frame, its signed volume), the frame
     ready for :func:`~vpwf.ddg.build_cache`.
@@ -298,8 +310,9 @@ def _advance(state, cache, xi, dt, config):
                     + state.volume_remainder * dt * dt)
     _volume_error(moved_volume, target)
     shift = u + (target - moved_volume) / float(slope.sum())
+    # the normals are a transposed view of C-ordered rows: scale the rows
     mesh = state.mesh.with_positions(
-        state.mesh.positions + shift[:, None] * cache.normals
+        state.mesh.positions + (shift * cache.normals.T).T
     )
     frame = face_frame(mesh)
     volume = tet_volume(frame)
@@ -340,11 +353,12 @@ def step(state, config):
     The step moves by ``state.rates``.  A trial that breaks the
     monotone-energy rule, or whose geometry fails (``_TRIAL_FAILURES``), is
     retried with half the step, up to ``MAX_HALVINGS`` halvings.  When the
-    quality cadence falls on the step, the mesh-maintenance pass runs on
-    the accepted trial and is kept if it raises no energy either; a pass
-    that fails (``QualityCollapseError`` or ``_TRIAL_FAILURES``) is
-    skipped like one that raises the energy.  The returned state carries
-    the rates of its own cache.
+    quality cadence falls on the step, the accepted trial's edges are
+    flipped (:func:`_maintain`) and the flipped mesh is kept if it raises
+    no energy either; a pass that fails (``QualityCollapseError`` or
+    ``_TRIAL_FAILURES``) is skipped like one that raises the energy, and a
+    trial that no flip changes is handed on untouched.  The returned state
+    carries the rates of its own cache.
     """
     cache = state.cache
     lam, xi, max_speed, wb = state.rates
@@ -383,21 +397,13 @@ def step(state, config):
         # mesh maintenance must not break the monotone-energy contract; a
         # pass that fails or raises the energy is skipped rather than applied
         try:
-            improved, frame, face_data = quality_pass(
-                trial.mesh, config, trial.cache
-            )
-            improved, frame, volume = volume_project(
-                improved, ddg.vertex_normals(improved, face_data)[0],
-                state.target_volume, config.projection_tol,
-                float(np.sum(face_data[0])), frame,
-            )
-            improved_cache, improved_rates = _settle(improved, frame)
+            maintained = _maintain(trial, state.target_volume, config)
         except (QualityCollapseError,) + _TRIAL_FAILURES:
-            pass
-        else:
-            if _no_energy_rise(trial.rates.wbar, improved_rates.wbar, config):
-                trial = trial._replace(mesh=improved, cache=improved_cache,
-                                       rates=improved_rates, volume=volume)
+            maintained = None
+        if maintained is not None and _no_energy_rise(
+            trial.rates.wbar, maintained.rates.wbar, config
+        ):
+            trial = maintained
 
     return FlowState(
         mesh=trial.mesh,
@@ -421,18 +427,20 @@ def _flip_edges(mesh, threshold, angles):
     """Apply non-conflicting Delaunay-style edge flips; returns (mesh, count).
 
     An interior edge is flipped when the two angles opposite to it sum to
-    more than ``threshold``.  Flips are selected greedily, worst first, no
-    two sharing a face, and skipped when the flipped edge already exists or
-    a resulting face would degenerate.  ``angles`` are the (3, m) corner
-    angles of ``mesh``, a cache's ``corner_angles``.  When no flip is
-    applied the input mesh itself is returned.
+    more than ``threshold`` by over ``FLIP_MARGIN``, so that rounding
+    cannot make a cocircular pair of faces a candidate.  Flips are
+    selected greedily, worst first, no two sharing a face, and skipped when
+    the flipped edge already exists or a resulting face would degenerate.
+    ``angles`` are the (3, m) corner angles of ``mesh``, a cache's
+    ``corner_angles``.  When no flip is applied the input mesh itself is
+    returned.
     """
     pairing = ddg._connectivity(mesh).pairing
     if not pairing.closed:
         raise QualityCollapseError("edge pairing failed; mesh not closed")
     angles = angles.reshape(-1)
     score = angles[pairing.corners[0]] + angles[pairing.corners[1]]
-    candidates = np.flatnonzero(score > threshold)
+    candidates = np.flatnonzero(score > threshold + FLIP_MARGIN)
     if candidates.size == 0:
         return mesh, 0
 
@@ -471,46 +479,45 @@ def _flip_edges(mesh, threshold, angles):
     return TriMesh(mesh.positions, f), len(flips)
 
 
-def quality_pass(mesh, config, cache):
-    """Edge flips plus tangential-only umbrella smoothing.
+def _maintain(trial, target_volume, config):
+    """The mesh-maintenance pass on an accepted :class:`_Trial`.
 
-    Smoothing moves each vertex by weight times the tangential projection
-    of the umbrella vector (neighbor mean minus vertex); the normal
-    component is removed exactly, so volume changes only at second order
-    and the subsequent re-projection is a tiny correction.  ``cache``, the
-    geometry of ``mesh``, supplies the flip angles and, when nothing
-    flips, the vertex normals.
+    Flips the trial's edges by its cache's ``corner_angles``; when no flip
+    applies it returns None having built nothing.  Otherwise the flipped
+    mesh passes :func:`quality_pass`, is projected back onto
+    ``target_volume`` (a flip changes the enclosed volume) and settles into
+    its geometry and rates, and the successor trial is returned.
+    """
+    flipped, count = _flip_edges(
+        trial.mesh, config.quality.flip_threshold_angle,
+        trial.cache.corner_angles,
+    )
+    if count == 0:
+        return None
+    frame, face_data = quality_pass(flipped, config)
+    mesh, frame, volume = volume_project(
+        flipped, ddg.vertex_normals(flipped, face_data)[0], target_volume,
+        config.projection_tol, float(np.sum(face_data[0])), frame,
+    )
+    cache, rates = _settle(mesh, frame)
+    return trial._replace(mesh=mesh, cache=cache, rates=rates, volume=volume)
 
-    Returns (mesh, frame, face data): the returned mesh's
+
+def quality_pass(mesh, config):
+    """The min-quality check of a mesh that edge flips changed.
+
+    Returns (frame, face data): the mesh's
     :class:`~vpwf.mesh.FaceFrame` and its
-    :func:`~vpwf.mesh.face_geometry`, built once for the quality check and
-    handed on to the step's projection.
+    :func:`~vpwf.mesh.face_geometry`, built once for the check and handed
+    on to the step's volume projection.
 
     Raises
     ------
     QualityCollapseError
-        If a face's shape quality falls below ``min_quality``.
+        If a face degenerates or its shape quality falls below
+        ``min_quality``.
     """
-    if cache.mesh is not mesh:
-        raise ValueError("cache was built for another mesh")
     qc = config.quality
-    mesh, count = _flip_edges(mesh, qc.flip_threshold_angle,
-                              cache.corner_angles)
-
-    weight = qc.tangential_smoothing_weight
-    if weight != 0.0:
-        if count == 0:
-            normals = cache.normals
-        else:
-            normals = ddg.vertex_normals(mesh, face_geometry(mesh))[0]
-        neighbour_sum, degree = ddg._connectivity(mesh).umbrella
-        umbrella = (ddg._matvec(neighbour_sum, mesh.positions)
-                    / degree[:, None] - mesh.positions)
-        tangential = umbrella - np.sum(
-            umbrella * normals, axis=1
-        )[:, None] * normals
-        mesh = mesh.with_positions(mesh.positions + weight * tangential)
-
     frame = face_frame(mesh)
     try:
         face_data = face_geometry(mesh, frame)
@@ -523,7 +530,7 @@ def quality_pass(mesh, config, cache):
         raise QualityCollapseError(
             "minimum face quality fell below %.1e" % qc.min_quality
         )
-    return mesh, frame, face_data
+    return frame, face_data
 
 
 def run(mesh, config, record_fn=None):

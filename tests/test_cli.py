@@ -256,6 +256,38 @@ class TestConfigFile:
                      "--csv", str(out)]) == 0
         assert out.exists()
 
+    def test_quality_pass_flips(self, tmp_path, monkeypatch):
+        # a stretched ellipsoid has flip candidates, so a pass every step
+        # reaches the quality check and the run still completes
+        from vpwf import flow
+
+        entered = []
+        pass_fn = flow.quality_pass
+
+        def record_pass(mesh, config):
+            entered.append(mesh)
+            return pass_fn(mesh, config)
+
+        monkeypatch.setattr(flow, "quality_pass", record_pass)
+        out = tmp_path / "flips.csv"
+        assert main(["simulate", "--shape", "ellipsoid", "--a", "1",
+                     "--b", "1", "--c", "2.5", "--level", "2", "--quality",
+                     "--quality-cadence", "1", "--max-steps", "3",
+                     "--csv", str(out)]) == 0
+        assert entered
+        assert out.exists()
+
+    def test_smoothing_weight_is_not_an_option(self, tmp_path, capsys):
+        # mesh maintenance only flips edges; a smoothing weight is refused
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shape=icosphere\nlevel=1\nquality=on\n"
+                       "smoothing-weight=0.1\n")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(cfg), "--max-steps", "0",
+                     "--csv", str(out)]) == 2
+        assert "--smoothing-weight" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_3(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["generate", "--config", str(tmp_path / "none.cfg"),

@@ -11,6 +11,7 @@ from vpwf.errors import (
     DissipationViolationError,
     NonFiniteError,
     ProjectionDivergedError,
+    QualityCollapseError,
     StepUnderflowError,
 )
 from vpwf.flow import (
@@ -390,51 +391,53 @@ class TestStep:
         # like an energy-raising one: the run equals the run without passes
         from vpwf import flow
 
-        if failure == "collapse":
-            quality = QualityConfig(enabled=True, cadence_steps=1,
-                                    min_quality=0.99)
-        elif failure == "velocity":
-            quality = QualityConfig(enabled=True, cadence_steps=1)
-            pass_fn, project_fn = flow.quality_pass, flow.volume_project
-            multiplier_fn = flow.lagrange_multiplier
-            maintained = []
+        min_quality = 0.99 if failure == "collapse" else 1e-3
+        quality = QualityConfig(enabled=True, cadence_steps=1,
+                                min_quality=min_quality)
+        entered = []
+        pass_fn = flow.quality_pass
 
-            def record_pass(mesh, config, cache):
-                out = pass_fn(mesh, config, cache)
-                maintained.append(out[0])
-                return out
+        def record_pass(mesh, config):
+            entered.append(mesh)
+            return pass_fn(mesh, config)
+
+        monkeypatch.setattr(flow, "quality_pass", record_pass)
+        if failure == "projection":
+            flip_fn = flow._flip_edges
+
+            def inflate(mesh, threshold, angles):
+                # twice the size is past what the projection bridges
+                out, count = flip_fn(mesh, threshold, angles)
+                return out.with_positions(2.0 * out.positions), count
+
+            monkeypatch.setattr(flow, "_flip_edges", inflate)
+        elif failure == "velocity":
+            project_fn = flow.volume_project
+            multiplier_fn = flow.lagrange_multiplier
+            projected = []
 
             def record_projection(mesh, *args):
                 out = project_fn(mesh, *args)
-                if any(mesh is m for m in maintained):
-                    maintained.append(out[0])
+                if any(mesh is m for m in entered):
+                    projected.append(out[0])
                 return out
 
             def overflow(cache):
                 # the maintained mesh's curvature stays finite and its
                 # velocity does not
-                if any(cache.mesh is m for m in maintained):
+                if any(cache.mesh is m for m in projected):
                     return np.inf
                 return multiplier_fn(cache)
 
-            monkeypatch.setattr(flow, "quality_pass", record_pass)
             monkeypatch.setattr(flow, "volume_project", record_projection)
             monkeypatch.setattr(flow, "lagrange_multiplier", overflow)
-        else:
-            quality = QualityConfig(enabled=True, cadence_steps=1)
-            pass_fn = flow.quality_pass
-
-            def inflate(mesh, config, cache):
-                # twice the size is past what the projection bridges
-                out, _, _ = pass_fn(mesh, config, cache)
-                out = out.with_positions(2.0 * out.positions)
-                frame = face_frame(out)
-                return out, frame, face_geometry(out, frame)
-
-            monkeypatch.setattr(flow, "quality_pass", inflate)
-        mesh = ellipsoid(1.2, 1.0, 0.85, 2)
+        # flips apply on this stretched ellipsoid, so the pass is entered
+        mesh = ellipsoid(1.0, 1.0, 2.5, 2)
         stop = StopRule(max_steps=5)
         kept = run(mesh, FlowConfig(quality=quality, stop=stop))
+        assert entered
+        if failure == "velocity":
+            assert projected
         plain = run(mesh, FlowConfig(stop=stop))
         a, b = kept.final_state, plain.final_state
         assert a.step_index == 5
@@ -444,54 +447,70 @@ class TestStep:
             b.time, b.accum_L43, b.accum_L2A, b.rates.wbar)
         assert kept.records == plain.records
 
+    def test_pass_without_flip_builds_nothing(self, monkeypatch):
+        # this ellipsoid has no flip candidate: a quality pass on every step
+        # never reaches quality_pass, builds no extra geometry and leaves
+        # the run bit for bit as it is without passes
+        from vpwf import flow
+
+        def no_pass(mesh, config):
+            raise AssertionError("quality_pass entered without a flip")
+
+        builds = []
+        build_fn = flow.build_cache
+
+        def count_builds(mesh, frame=None):
+            builds.append(mesh)
+            return build_fn(mesh, frame)
+
+        monkeypatch.setattr(flow, "quality_pass", no_pass)
+        monkeypatch.setattr(flow, "build_cache", count_builds)
+        mesh = ellipsoid(1.2, 1.0, 0.85, 2)
+        stop = StopRule(max_steps=5)
+        kept = run(mesh, FlowConfig(
+            quality=QualityConfig(enabled=True, cadence_steps=1), stop=stop))
+        kept_builds = len(builds)
+        del builds[:]
+        plain = run(mesh, FlowConfig(stop=stop))
+        assert kept_builds == len(builds)
+        a, b = kept.final_state, plain.final_state
+        assert a.step_index == 5
+        assert np.array_equal(a.mesh.positions, b.mesh.positions)
+        assert a.mesh.faces is mesh.faces
+        for name in ("time", "accum_L43", "accum_L2A", "volume",
+                     "volume_remainder"):
+            assert getattr(a, name) == getattr(b, name), name
+        assert np.array_equal(a.rates.xi, b.rates.xi)
+        assert kept.records == plain.records
+
 
 class TestQualityPass:
-    def test_smoothing_weight_zero_is_identity(self, sphere3):
-        mesh, cache = sphere3
-        config = FlowConfig(
-            quality=QualityConfig(enabled=True,
-                                  tangential_smoothing_weight=0.0)
-        )
-        out, _, _ = quality_pass(mesh, config, cache)
-        assert np.array_equal(out.positions, mesh.positions)
-
     def test_already_delaunay_no_flips(self, sphere3):
         mesh, cache = sphere3
         out, flips = _flip_edges(mesh, np.pi, cache.corner_angles)
         assert flips == 0
 
-    def test_smoothing_is_tangential(self, sphere3):
-        mesh, cache = sphere3
-        config = FlowConfig(
-            quality=QualityConfig(enabled=True,
-                                  tangential_smoothing_weight=0.3)
-        )
-        out, _, _ = quality_pass(mesh, config, cache)
-        displacement = out.positions - mesh.positions
-        normal_part = np.sum(displacement * cache.normals, axis=1)
-        assert np.max(np.abs(normal_part)) <= 1e-12
-
-    def test_smoothing_nearly_volume_neutral(self, sphere4):
-        mesh, cache = sphere4
-        config = FlowConfig(
-            quality=QualityConfig(enabled=True,
-                                  tangential_smoothing_weight=0.1)
-        )
-        before = signed_volume(mesh)
-        out, _, _ = quality_pass(mesh, config, cache)
-        assert abs(signed_volume(out) - before) <= 1e-6 * abs(before)
+    @pytest.mark.parametrize("mesh", [torus(2.0, 1.0, 48, 24),
+                                      torus(2.0, 0.5, 24, 10)],
+                             ids=["48x24", "24x10"])
+    def test_rounding_ties_do_not_flip(self, mesh):
+        # the quads of a torus of revolution are cocircular: their
+        # opposite-angle sums are pi up to rounding and must not flip
+        out, count = _flip_edges(mesh, np.pi, build_cache(mesh).corner_angles)
+        assert count == 0
+        assert out is mesh
 
     def test_flips_fire_and_preserve_validity(self):
-        # stretched torus quads are split along one diagonal; many interior
-        # edges violate the opposite-angle criterion and must flip
-        mesh = torus(2.0, 0.5, 24, 10)
-        stretched = TriMesh(mesh.positions * [1.0, 1.0, 2.5], mesh.faces)
+        # a stretched icosphere has long edges whose opposite angles sum
+        # to more than pi by up to a radian; they must flip
+        base = icosphere(2)
+        stretched = TriMesh(base.positions * [1.0, 1.0, 2.5], base.faces)
         validate(stretched)
         flipped, count = _flip_edges(
             stretched, np.pi, build_cache(stretched).corner_angles)
         assert count > 0
         topo = validate(flipped)  # still closed, consistently oriented
-        assert topo.euler_characteristic == 0
+        assert topo.euler_characteristic == 2
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -537,21 +556,16 @@ class TestQualityPass:
         base = icosphere(2) if shape == "icosphere" else torus(
             2.0, 0.5, 24, 10)
         mesh = TriMesh(base.positions * np.array(stretch), base.faces)
-        config = FlowConfig(quality=QualityConfig(
-            enabled=True, flip_threshold_angle=threshold, min_quality=0.0))
-        # the pairing and umbrella are kept per faces array: a pass on a
-        # mesh that already built them must match one on a fresh mesh
+        angles = build_cache(mesh).corner_angles
+        # the pairing is kept per faces array: flips on a mesh that already
+        # built it must match flips on a fresh mesh
         fresh = TriMesh(mesh.positions, mesh.faces)
-        plain, _, plain_data = quality_pass(fresh, config,
-                                            build_cache(fresh))
-        cache = build_cache(mesh)
-        conn = _connectivity(mesh)
-        assert conn.pairing.closed and conn.umbrella is not None
-        cached, _, cached_data = quality_pass(mesh, config, cache)
+        plain, plain_count = _flip_edges(fresh, threshold, angles)
+        assert _connectivity(mesh).pairing.closed
+        cached, count = _flip_edges(mesh, threshold, angles)
+        assert count == plain_count
         assert np.array_equal(cached.positions, plain.positions)
         assert np.array_equal(cached.faces, plain.faces)
-        for got, want in zip(cached_data, plain_data):
-            assert np.array_equal(got, want)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -575,32 +589,30 @@ class TestQualityPass:
         assert count == fresh_count
         assert np.array_equal(twice.faces, again.faces)
 
-    @pytest.mark.parametrize("shape,weight", [
-        ("icosphere", 0.1),    # nothing flips
-        ("torus", 0.1),        # flips fire
-        ("torus", 0.0),        # flips fire, no smoothing
-    ])
-    def test_returned_face_data_is_the_output_geometry(self, shape, weight):
-        mesh = icosphere(2) if shape == "icosphere" else torus(
+    @pytest.mark.parametrize("shape", ["icosphere", "torus"])
+    def test_returned_face_data_is_the_output_geometry(self, shape):
+        base = icosphere(2) if shape == "icosphere" else torus(
             2.0, 0.5, 24, 10)
-        config = FlowConfig(quality=QualityConfig(
-            enabled=True, tangential_smoothing_weight=weight,
-            min_quality=0.0))
-        out, frame, face_data = quality_pass(mesh, config, build_cache(mesh))
-        expected_frame = face_frame(out)
+        mesh = TriMesh(base.positions * [1.0, 1.0, 2.5], base.faces)
+        flipped, _ = _flip_edges(mesh, np.pi, build_cache(mesh).corner_angles)
+        config = FlowConfig(quality=QualityConfig(enabled=True,
+                                                  min_quality=0.0))
+        frame, face_data = quality_pass(flipped, config)
+        expected_frame = face_frame(flipped)
         for got, want in zip(frame, expected_frame):
             assert np.array_equal(got, want)
-        expected = face_geometry(out)
+        expected = face_geometry(flipped)
         assert len(face_data) == len(expected)
         for got, want in zip(face_data, expected):
             assert np.array_equal(got, want)
 
-    def test_cache_of_another_mesh_rejected(self, sphere3):
-        mesh, cache = sphere3
-        other = mesh.with_positions(mesh.positions * 1.01)
-        config = FlowConfig(quality=QualityConfig(enabled=True))
-        with pytest.raises(ValueError):
-            quality_pass(other, config, cache)
+    def test_low_quality_collapses(self):
+        base = icosphere(2)
+        mesh = TriMesh(base.positions * [1.0, 1.0, 2.5], base.faces)
+        config = FlowConfig(quality=QualityConfig(enabled=True,
+                                                  min_quality=0.99))
+        with pytest.raises(QualityCollapseError):
+            quality_pass(mesh, config)
 
 
 class TestRun:
@@ -662,9 +674,9 @@ class TestOneStep:
     """``run`` is a loop over the module-level ``step``, whose states carry
     the rates of their own geometry."""
 
-    # on this bump the first step's quality pass is kept and the next ones
-    # are skipped for raising the energy
-    mesh = perturbed_sphere(2, 1.0, 3, 2, 0.3)
+    # on this stretched ellipsoid the first step's flips are kept, and the
+    # later steps find no flip candidate
+    mesh = ellipsoid(1.0, 1.0, 2.5, 2)
 
     @staticmethod
     def quality_every_step(max_steps):
@@ -690,7 +702,7 @@ class TestOneStep:
 
     def test_rates_belong_to_the_accepted_geometry(self, monkeypatch):
         # with a quality pass on every step the accepted cache is sometimes
-        # the maintained one, not the trial's: the rates must follow it
+        # the flipped one, not the trial's: the rates must follow it
         from vpwf import flow
 
         states, trial_caches = [], []
@@ -725,14 +737,14 @@ class TestOneStep:
             assert state.rates.max_speed == float(np.abs(xi).max())
             assert state.rates.wbar == wbar(cache)
 
-    def test_step_builds_smoothed_face_data_once(self, monkeypatch):
-        # the quality pass hands the frame and face data of its output mesh
+    def test_step_builds_flipped_face_data_once(self, monkeypatch):
+        # the quality pass hands the frame and face data of the flipped mesh
         # to the step's projection, so that mesh's corners are gathered and
         # its face geometry is built once
         from vpwf import flow
         from vpwf import mesh as mesh_module
 
-        built, framed, projected_from, smoothed = [], [], [], []
+        built, framed, projected_from, flipped = [], [], [], []
         face_geometry_fn, project_fn = flow.face_geometry, flow.volume_project
         face_frame_fn, pass_fn = flow.face_frame, flow.quality_pass
 
@@ -748,10 +760,9 @@ class TestOneStep:
             projected_from.append(mesh)
             return project_fn(mesh, *args, **kwargs)
 
-        def spy_pass(*args):
-            out = pass_fn(*args)
-            smoothed.append(out[0])
-            return out
+        def spy_pass(mesh, config):
+            flipped.append(mesh)
+            return pass_fn(mesh, config)
 
         monkeypatch.setattr(flow, "face_geometry", spy_face_geometry)
         # face_geometry gathers through the mesh module's name when it is
@@ -762,11 +773,11 @@ class TestOneStep:
         monkeypatch.setattr(flow, "quality_pass", spy_pass)
         step(initial_state(self.mesh), self.quality_every_step(1))
         # trials reach the projection only when their prediction misses;
-        # the maintained mesh always does, last
-        assert len(smoothed) == 1
-        assert projected_from[-1] is smoothed[0]
-        assert sum(m is smoothed[0] for m in built) == 1
-        assert sum(m is smoothed[0] for m in framed) == 1
+        # the flipped mesh always does, last
+        assert len(flipped) == 1
+        assert projected_from[-1] is flipped[0]
+        assert sum(m is flipped[0] for m in built) == 1
+        assert sum(m is flipped[0] for m in framed) == 1
 
     def test_step_from_initial_state_is_first_step_of_run(self):
         config = self.quality_every_step(1)
