@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ZeroNormalError
-from .mesh import dot3, face_geometry
+from .mesh import dot3, face_frame, face_geometry
 
 # Half-cotangents are clamped from below to limit blow-up on near-degenerate
 # triangles; the quality pass in the flow engine is the primary defense.
@@ -244,7 +244,14 @@ def _connectivity(mesh):
 
 @dataclass(eq=False)
 class GeometryCache:
-    """Per-vertex discrete geometry of one mesh, immutable once built."""
+    """Per-vertex discrete geometry of one mesh, immutable once built.
+
+    ``volume`` is the signed enclosed volume of the
+    :class:`~vpwf.mesh.FaceFrame` the cache was built on, the number
+    :func:`~vpwf.functionals.signed_volume` returns: the flow's volume
+    check and the diagnostics row read it here instead of gathering the
+    corners again.
+    """
 
     mesh: object
     laplacian: CSR              # cotangent operator, see build_laplacian
@@ -262,6 +269,7 @@ class GeometryCache:
     # (3, m) interior angle at each corner, the angles of the defect in K
     corner_angles: np.ndarray = field(repr=False)
     total_area: float
+    volume: float               # signed, positive for inward orientation
     h_min: float                # shortest edge length
 
     @property
@@ -354,10 +362,11 @@ def mean_curvature(mesh, laplacian, mass, normals):
     """H_i from the normal component of the mass-normalized Laplacian.
 
     The Laplacian is applied to the three coordinate rows of the
-    positions; ``normals`` is (n, 3), best the transposed view that
-    :func:`vertex_normals` returns, whose rows are then contiguous.
+    positions, the mesh's :attr:`~vpwf.mesh.TriMesh.columns`; ``normals``
+    is (n, 3), best the transposed view that :func:`vertex_normals`
+    returns, whose rows are then contiguous.
     """
-    coords = np.ascontiguousarray(mesh.positions.T)
+    coords = mesh.columns
     lap = np.zeros(coords.shape)
     for a in range(3):
         _matvec(laplacian, coords[a], out=lap[a])
@@ -396,9 +405,15 @@ def build_cache(mesh, frame=None):
     This is the one way to get them: the face data of
     :func:`~vpwf.mesh.face_geometry` is built once and handed to each
     operator.  ``frame`` is the mesh's :class:`~vpwf.mesh.FaceFrame` when
-    the caller has it (the flow's volume check does).
+    the caller has it (the flow's volume check does); the cache's
+    ``volume`` is the frame's, never summed again.
     """
+    if frame is None:
+        frame = face_frame(mesh)
     face_data = face_geometry(mesh, frame)
+    volume = frame.volume
+    # nothing below reads the corners or edges: a frame built here is freed
+    del frame
     half_cot = half_cotangents(face_data)
     laplacian = build_laplacian(mesh, half_cot)
     mass = lumped_mass(mesh, face_data, half_cot)
@@ -420,5 +435,6 @@ def build_cache(mesh, frame=None):
         face_sq=face_data[3],
         corner_angles=angles,
         total_area=float(face_data[0].sum()),
+        volume=volume,
         h_min=float(np.sqrt(face_data[3].min())),
     )

@@ -1,9 +1,13 @@
 """Monitored quantities: concentration function, inequalities, sphere fit.
 
 Every returned value is a function of a mesh snapshot and its geometry
-cache alone.  The one state the module keeps is the record of its latest
-full pair scan (``_last_scan``), whose bounds a later scan of points that
-have barely moved reuses: it can save work, never change a result.
+cache alone, and is computed from the arrays those already hold: the
+cache's volume, normals and face data, and the mesh's component-first
+coordinates (:attr:`~vpwf.mesh.TriMesh.columns`), so a diagnostics row
+gathers no face corner and copies no coordinate array.  The one state the
+module keeps is the record of its latest full pair scan (``_last_scan``),
+whose bounds a later scan of points that have barely moved reuses: it can
+save work, never change a result.
 Ball-based quantities use extrinsic Euclidean balls with
 vertex-sampled membership (consistent with the lumped quadrature); the
 candidate ball centers are the vertex positions themselves, which
@@ -34,7 +38,6 @@ from .errors import NoFiniteRadiusError, SingularFitError, ZeroVolumeError
 from .functionals import (
     lagrange_multiplier,
     scale_defect,
-    signed_volume,
     translation_defect,
     wbar,
     willmore,
@@ -95,14 +98,15 @@ def _direct_sq(a, b):
 class _BlockScan:
     """What one full block scan of :func:`_pair_scan` proved.
 
-    ``pt`` and ``weights`` are read-only copies of the (3, n) positions and
-    the weights it saw (``total`` their sum), ``radii_sq`` the squared radii
-    it was asked for and ``live`` the indices of those it bounded: row
-    ``slot`` of ``upper`` bounds every centre's content at radius
-    ``live[slot]``, and ``order[slot]`` lists the centres by decreasing
-    bound.  ``unit`` and ``s`` are the block scaling, ``band`` the rounding
-    band and ``top`` the largest entry; ``near`` holds the pairs within
-    twice the band of ``top`` and ``diam_sq`` their exact maximum.
+    ``pt`` and ``weights`` are the read-only (3, n) positions and a
+    read-only copy of the weights it saw (``total`` their sum),
+    ``radii_sq`` the squared radii it was asked for and ``live`` the
+    indices of those it bounded: row ``slot`` of ``upper`` bounds every
+    centre's content at radius ``live[slot]``, and ``order[slot]`` lists
+    the centres by decreasing bound.  ``unit`` and ``s`` are the block
+    scaling, ``band`` the rounding band and ``top`` the largest entry;
+    ``near`` holds the pairs within twice the band of ``top`` and
+    ``diam_sq`` their exact maximum.
     """
 
     pt: np.ndarray
@@ -235,8 +239,13 @@ def _weight_growth(scan, pt, weights, radii_sq):
     return float(np.maximum(weights - scan.weights, 0.0).sum())
 
 
-def _pair_scan(p, weights=None, radii=(), diam_sq=None, rows=None):
+def _pair_scan(pt, weights=None, radii=(), diam_sq=None, rows=None):
     """Exact squared diameter and the heaviest vertex-centred ball per radius.
+
+    ``pt`` holds the points component-first, shape (3, n), best a mesh's
+    :attr:`~vpwf.mesh.TriMesh.columns`, which are taken as they are; any
+    other array is copied into that layout.  A full scan's record keeps
+    ``pt`` and marks it read-only, so pass points that nobody changes.
 
     Each pair is visited once: rows lo:hi against columns lo: form one
     float32 block, one matrix product on the centred augmented coordinates
@@ -244,12 +253,14 @@ def _pair_scan(p, weights=None, radii=(), diam_sq=None, rows=None):
     two, so exactly) scales to a largest ``|q|^2`` of s in [1/2, 2).  The
     blocks only bound the answer.  The diameter is the largest direct
     distance among the pairs within twice the rounding band of the running
-    block maximum.  Each live radius gets an upper bound of every centre's
-    content (float32 threshold r^2 plus the band, float64 masks and sums,
-    which needs ``weights >= 0``); centres are then recomputed by the
-    direct rule in decreasing bound order until the bound plus a summation
-    slack falls below the best exact content.  A ball that holds every
-    vertex gives the total at centre 0.
+    block maximum.  A radius above the diameter holds every vertex in every
+    ball: its value is the sum of all weights, at centre 0, the same bits
+    as the masked sum over a row that is all inside.  Each other radius is
+    live and gets an upper bound of every centre's content (float32
+    threshold r^2 plus the band, float64 masks and sums, which needs
+    ``weights >= 0``); centres are then recomputed by the direct rule in
+    decreasing bound order until the bound plus a summation slack falls
+    below the best exact content.
 
     The band.  With u = 2^-24 the unit roundoff of float32, a block entry
     e and the scaled direct value D of the same pair differ by at most
@@ -322,11 +333,9 @@ def _pair_scan(p, weights=None, radii=(), diam_sq=None, rows=None):
     maximizing vertex per radius.
     """
     global _last_scan
-    n = p.shape[0]
+    pt = np.ascontiguousarray(pt, dtype=np.float64)
+    n = pt.shape[1]
     radii_sq = tuple(float(r) * float(r) for r in radii)
-    # every direct difference runs on one contiguous component-first copy,
-    # which a record keeps
-    pt = np.array(p.T, order="C")
     scan = _last_scan
     growth = _weight_growth(scan, pt, weights, radii_sq)
     if growth is None:
@@ -354,8 +363,10 @@ def _pair_scan(p, weights=None, radii=(), diam_sq=None, rows=None):
     values = np.empty(len(radii_sq))
     centres = np.zeros(len(radii_sq), dtype=np.int64)
     for k, r_sq in enumerate(radii_sq):
-        if k not in scan.live or r_sq > diam_sq:
-            values[k] = weights[exact_sq(0) < r_sq].sum()
+        if r_sq > diam_sq:
+            # no pair is that far apart: every ball holds every vertex.
+            # Every radius the block scan did not bound is one of these
+            values[k] = weights.sum()
             continue
         slot = scan.live.index(k)
         bound = scan.upper[slot]
@@ -387,7 +398,7 @@ def concentration_profile(mesh, cache, radii):
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     weights = cache.abs_A_sq * cache.mass
-    _, values, centres = _pair_scan(mesh.positions, weights, radii)
+    _, values, centres = _pair_scan(mesh.columns, weights, radii)
     return values, mesh.positions[centres]
 
 
@@ -426,7 +437,7 @@ def concentration_radius(mesh, cache, threshold):
             "threshold %.6g >= total curvature energy %.6g"
             % (threshold, total)
         )
-    diam_sq = _diameter_sq(mesh.positions)
+    diam_sq = _diameter_sq(mesh.columns)
     diam = float(np.sqrt(diam_sq))
     weights = cache.abs_A_sq * cache.mass
     # every probe scans the same points: the diameter and the direct rows
@@ -436,7 +447,7 @@ def concentration_radius(mesh, cache, threshold):
     tol = RADIUS_REL_TOL * diam
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        _, values, _ = _pair_scan(mesh.positions, weights, [mid], diam_sq,
+        _, values, _ = _pair_scan(mesh.columns, weights, [mid], diam_sq,
                                   rows)
         if values[0] < threshold:
             lo = mid
@@ -447,23 +458,22 @@ def concentration_radius(mesh, cache, threshold):
 
 def diameter(mesh):
     """Exact maximum vertex-pair distance, a direct float64 difference."""
-    return float(np.sqrt(_diameter_sq(mesh.positions)))
+    return float(np.sqrt(_diameter_sq(mesh.columns)))
 
 
-def _diameter_sq(p):
-    """Squared :func:`diameter` of the points ``p``.
+def _diameter_sq(pt):
+    """Squared :func:`diameter` of the (3, n) points ``pt``.
 
     The axis-aligned extent gives a cheap lower bound; any endpoint of a
     maximal pair must lie at least half that bound from the centroid, which
     prunes interior vertices before the pair scan.
     """
-    lower = float(np.max(bounding_box_extent(p)))
-    center = p.mean(axis=0)
-    dist = np.linalg.norm(p - center, axis=1)
+    lower = float(np.max(bounding_box_extent(pt)))
+    dist = np.sqrt(_direct_sq(pt, pt.mean(axis=1, keepdims=True)))
     # an endpoint x of a pair with |x - y| >= lower needs
     # |x - c| >= lower - max_j |y_j - c|
     r_max = float(dist.max())
-    return _pair_scan(p[dist >= lower - r_max - 1e-12 * lower])[0]
+    return _pair_scan(pt[:, dist >= lower - r_max - 1e-12 * lower])[0]
 
 
 def diameter_bound(area, willmore_energy):
@@ -488,7 +498,7 @@ def area_ratio(mesh, cache, center, radius):
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=np.float64)
-    d_sq = _direct_sq(mesh.positions.T, center[:, None])
+    d_sq = _direct_sq(mesh.columns, center[:, None])
     return float(np.sum(cache.mass[d_sq < radius * radius])) / radius ** 2
 
 
@@ -542,6 +552,15 @@ def sphere_fit(mesh, weights):
 def record(state, cache, config):
     """Assemble the full diagnostics row for one flow state.
 
+    ``cache`` is the geometry of ``state.mesh``; only the mesh, time and
+    multiplier integrals are read off ``state``, so a bare
+    ``FlowState(mesh=mesh)`` will do.  The row is built from arrays the
+    mesh and the cache already hold: the volume is the cache's, measured
+    on the face frame the cache was built on (the flow's own volume
+    check), and the pair scan and the scale defect read the mesh's
+    component-first :attr:`~vpwf.mesh.TriMesh.columns`.  No face corner is
+    gathered again.
+
     The diameter and every ``kappa`` column come from one pair scan: the
     diameter is exact and ``kappa[r]`` equals ``concentration(mesh, cache,
     r)`` bit for bit, by the direct rule ``sum((p_i - p_j)**2) < r*r``.
@@ -549,20 +568,20 @@ def record(state, cache, config):
     within about 1e-6 of the mesh's extent of where the last full scan saw
     it), the scan reuses that scan's bounds and costs one O(n) pass plus
     the direct rows it recomputes: a row per step on a still mesh runs the
-    O(n^2) block loop once.
+    O(n^2) block loop once.  A radius above the diameter costs one sum.
     ``min_face_quality`` is :func:`~vpwf.mesh.shape_quality` of the
     cache's face areas and squared edge lengths.
     """
     mesh = state.mesh
     area = cache.total_area
-    volume = signed_volume(mesh)
+    volume = cache.volume
     w = willmore(cache)
     wb = wbar(cache)
     chi = mesh.topology().euler_characteristic
     lam = lagrange_multiplier(cache)
     radii = tuple(config.kappa_radii)
     diam_sq, kappa_vals, _ = _pair_scan(
-        mesh.positions, cache.abs_A_sq * cache.mass, radii)
+        mesh.columns, cache.abs_A_sq * cache.mass, radii)
     diam = float(np.sqrt(diam_sq))
     bound = diameter_bound(area, w)
     kappa = dict(zip(radii, kappa_vals.tolist()))

@@ -6,6 +6,8 @@ bit-exactly and face index order is preserved verbatim.  Lines starting
 with '#' are comments; rescaled outputs carry their provenance there.
 """
 
+from itertools import chain, islice
+
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
@@ -37,49 +39,99 @@ def write_obj(mesh, path, comments=()):
         fh.writelines(lines)
 
 
+# lines tokenized at once: a chunk's token lists are the parser's working
+# memory, a few tens of kB however large the file (1024-line chunks parsed
+# about 10% faster and raised a run's peak RSS by about 0.5 MB)
+_OBJ_CHUNK_LINES = 128
+
+
 def read_obj(path):
-    """Read an ASCII OBJ file; only v and triangular f records are used."""
-    positions = []
-    faces = []
+    """Read an ASCII OBJ file; only v and triangular f records are used.
+
+    The lines are read and tokenized a chunk at a time
+    (:func:`_obj_records`): the coordinates of a chunk's ``v`` records go
+    through one ``float`` map and the vertex indices of its ``f`` records
+    through one ``int`` map.  When a record is malformed,
+    :func:`_obj_error` names the first one.
+    """
+    coords, faces = [np.empty(0)], [np.empty((0, 3), dtype=np.int64)]
+    start = vertex_count = 0
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise FileFormatError(
-                        "vertex record needs 3 coordinates", path, lineno
-                    )
-                try:
-                    positions.append([float(x) for x in parts[1:4]])
-                except ValueError:
-                    raise FileFormatError(
-                        "bad vertex coordinate", path, lineno
-                    ) from None
-            elif tag == "f":
-                if len(parts) != 4:
-                    raise FileFormatError(
-                        "only triangular faces are supported", path, lineno
-                    )
-                try:
-                    idx = [int(p.split("/")[0]) for p in parts[1:]]
-                except ValueError:
-                    raise FileFormatError(
-                        "bad face index", path, lineno
-                    ) from None
-                if any(i == 0 for i in idx):
-                    raise FileFormatError(
-                        "OBJ face indices are 1-based", path, lineno
-                    )
-                idx = [i - 1 if i > 0 else len(positions) + i for i in idx]
-                faces.append(idx)
-            # other records (vn, vt, o, g, s, usemtl...) are ignored
-    if not positions or not faces:
+        while records := [line.split()
+                          for line in islice(fh, _OBJ_CHUNK_LINES)]:
+            try:
+                chunk_coords, chunk_faces = _obj_records(records,
+                                                         vertex_count)
+            except ValueError:
+                raise _obj_error(records, path, start) from None
+            coords.append(chunk_coords)
+            faces.append(chunk_faces)
+            vertex_count += chunk_coords.size // 3
+            start += len(records)
+    positions = np.concatenate(coords).reshape(-1, 3)
+    faces = np.concatenate(faces)
+    if not positions.size or not faces.size:
         raise FileFormatError("no geometry found", path)
-    return TriMesh(np.array(positions), np.array(faces))
+    return TriMesh(positions, faces)
+
+
+def _obj_records(records, vertex_count):
+    """Flat coordinates and (k, 3) 0-based faces of a run of OBJ records.
+
+    ``records`` are the token lists of consecutive lines, read after
+    ``vertex_count`` vertices.  A ``v`` record's first three coordinates
+    are used (a fourth, w, is ignored); an ``f`` token is ``a``, ``a/b``,
+    ``a//c`` or ``a/b/c`` with vertex index a, and a negative index counts
+    back from the vertices read before its line.  Raises ``ValueError`` on
+    any malformed record.
+    """
+    v_at = [i for i, r in enumerate(records) if r and r[0] == "v"]
+    f_at = [i for i, r in enumerate(records) if r and r[0] == "f"]
+    if (any(len(records[i]) < 4 for i in v_at)
+            or any(len(records[i]) != 4 for i in f_at)):
+        raise ValueError
+    coords = np.array(list(map(float, chain.from_iterable(
+        records[i][1:4] for i in v_at))))
+    tokens = [token for i in f_at for token in records[i][1:]]
+    try:
+        idx = list(map(int, tokens))
+    except ValueError:
+        idx = [int(token.partition("/")[0]) for token in tokens]
+    idx = np.array(idx, dtype=np.int64).reshape(-1, 3)
+    if (idx == 0).any():
+        raise ValueError
+    before = vertex_count + np.searchsorted(v_at, f_at)
+    return coords, np.where(idx > 0, idx - 1, before[:, None] + idx)
+
+
+def _obj_error(records, path, start):
+    """The :class:`FileFormatError` of the first malformed OBJ record.
+
+    ``records`` are the token lists of the file's lines from line
+    ``start + 1`` on.
+    """
+    for lineno, parts in enumerate(records, start=start + 1):
+        tag = parts[0] if parts else ""
+        if tag == "v":
+            if len(parts) < 4:
+                return FileFormatError(
+                    "vertex record needs 3 coordinates", path, lineno)
+            try:
+                [float(x) for x in parts[1:4]]
+            except ValueError:
+                return FileFormatError("bad vertex coordinate", path, lineno)
+        elif tag == "f":
+            if len(parts) != 4:
+                return FileFormatError(
+                    "only triangular faces are supported", path, lineno)
+            try:
+                idx = [int(p.partition("/")[0]) for p in parts[1:]]
+            except ValueError:
+                return FileFormatError("bad face index", path, lineno)
+            if 0 in idx:
+                return FileFormatError(
+                    "OBJ face indices are 1-based", path, lineno)
+    raise AssertionError("no malformed OBJ record found")
 
 
 def read_off(path):

@@ -42,7 +42,7 @@ from .errors import (
     StepUnderflowError,
     ZeroNormalError,
 )
-from .functionals import lagrange_multiplier, signed_volume, wbar
+from .functionals import lagrange_multiplier, wbar
 from .mesh import (
     TriMesh,
     cross3,
@@ -50,7 +50,6 @@ from .mesh import (
     face_frame,
     face_geometry,
     shape_quality,
-    tet_volume,
 )
 from . import ddg
 
@@ -171,15 +170,15 @@ class Trajectory:
 def initial_state(mesh, cache=None):
     """Flow state at time zero; the current volume becomes the target.
 
-    ``cache`` is the geometry of ``mesh`` when the caller has it.
+    ``cache`` is the geometry of ``mesh`` when the caller has it; its
+    ``volume`` is the target.
     """
     if cache is None:
         cache = build_cache(mesh)
-    volume = signed_volume(mesh)
     return FlowState(
         mesh=mesh,
-        target_volume=volume,
-        volume=volume,
+        target_volume=cache.volume,
+        volume=cache.volume,
         cache=cache,
         rates=_rates(cache),
     )
@@ -254,7 +253,7 @@ def volume_project(mesh, normals, target_volume, tol, total_area, frame):
     Returns (projected mesh, its frame, its signed volume), the frame
     ready for :func:`~vpwf.ddg.build_cache`.
     """
-    v = tet_volume(frame)
+    v = frame.volume
     rel = _volume_error(v, target_volume)
     if rel <= tol:
         return mesh, frame, v
@@ -265,7 +264,7 @@ def volume_project(mesh, normals, target_volume, tol, total_area, frame):
         c += (v - target_volume) / total_area
         projected = mesh.with_positions(mesh.positions + c * normals)
         frame = face_frame(projected)
-        v = tet_volume(frame)
+        v = frame.volume
         rel = abs(v - target_volume) / abs(target_volume)
         if rel <= tol:
             return projected, frame, v
@@ -310,12 +309,13 @@ def _advance(state, cache, xi, dt, config):
                     + state.volume_remainder * dt * dt)
     _volume_error(moved_volume, target)
     shift = u + (target - moved_volume) / float(slope.sum())
-    # the normals are a transposed view of C-ordered rows: scale the rows
-    mesh = state.mesh.with_positions(
-        state.mesh.positions + (shift * cache.normals.T).T
+    # the normals are a transposed view of C-ordered rows: move the
+    # component-first coordinates by the scaled rows
+    mesh = state.mesh.with_columns(
+        state.mesh.columns + shift * cache.normals.T
     )
     frame = face_frame(mesh)
-    volume = tet_volume(frame)
+    volume = frame.volume
     remainder = (volume - state.volume - float(slope @ shift)) / (dt * dt)
     if _volume_error(volume, target) > config.projection_tol:
         mesh, frame, volume = volume_project(

@@ -9,17 +9,19 @@ convention that the inward normal gives positive volume.
 
 import numpy as np
 
-from .mesh import face_frame, tet_volume
+from .mesh import dot3, face_frame
 
 
 def signed_volume(mesh):
     """Signed enclosed volume, positive for inward orientation.
 
-    Computed with the exact signed-tetrahedron sum, which is translation
-    invariant to roundoff on closed meshes and lets the flow's volume
-    constraint be tested at machine precision.
+    The :class:`~vpwf.mesh.FaceFrame` volume, the exact signed-tetrahedron
+    sum, which is translation invariant to roundoff on closed meshes and
+    lets the flow's volume constraint be tested at machine precision.  A
+    :class:`~vpwf.ddg.GeometryCache` carries the same number as
+    ``volume``.
     """
-    return tet_volume(face_frame(mesh))
+    return face_frame(mesh).volume
 
 
 def willmore(cache):
@@ -58,19 +60,21 @@ def scale_defect(mesh, cache, origin=None):
     to the volume (3 * lam * V).  ``origin`` defaults to 0.
     """
     grad = scalar_willmore_gradient(cache)
-    pos = mesh.positions if origin is None else mesh.positions - origin
-    radial = np.sum(cache.normals * pos, axis=1)
+    pos = mesh.columns if origin is None else (
+        mesh.columns - np.asarray(origin, dtype=np.float64)[:, None])
+    # the normals' contiguous rows, summed (x + y) + z per vertex
+    radial = dot3(cache.normals.T, pos)
     return float(np.sum(grad * radial * cache.mass))
 
 
 def translation_defect(cache):
-    """Norm of sum_i grad_i nu_i M_i, zero for the smooth energy."""
-    grad = scalar_willmore_gradient(cache)
-    # a C-ordered array is summed one vertex row after another; the cache's
-    # normals are a transposed view, whose column sums would run pairwise
-    terms = np.ascontiguousarray(
-        grad[:, None] * cache.normals * cache.mass[:, None]
-    )
-    vec = terms.sum(axis=0)
-    return float(np.linalg.norm(vec))
+    """Norm of sum_i grad_i nu_i M_i, zero for the smooth energy.
 
+    Each component is summed one vertex after another, as a C-ordered
+    (n, 3) array's column sums run; a running sum along the contiguous
+    normal rows gives those bits without the per-row reduction loop.
+    """
+    grad = scalar_willmore_gradient(cache)
+    terms = grad * cache.normals.T * cache.mass
+    vec = np.cumsum(terms, axis=1)[:, -1]
+    return float(np.linalg.norm(vec))

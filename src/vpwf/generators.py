@@ -8,7 +8,7 @@ the generated mesh enforces this regardless of the construction order.
 import numpy as np
 
 from .errors import BadParamsError
-from .mesh import TriMesh, face_frame, tet_volume
+from .mesh import TriMesh, face_frame
 
 _PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -35,7 +35,7 @@ _ICO_FACES = np.array(
 def _oriented_inward(positions, faces):
     """Flip windings if needed so the signed volume comes out positive."""
     mesh = TriMesh(positions, faces)
-    if tet_volume(face_frame(mesh)) < 0.0:
+    if face_frame(mesh).volume < 0.0:
         mesh = TriMesh(positions, faces[:, [0, 2, 1]])
     return mesh
 

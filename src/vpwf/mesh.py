@@ -52,14 +52,13 @@ def dot3(a, b):
     return out
 
 
-def bounding_box_extent(points):
-    """Per-axis extent (max minus min) of an (n, 3) point array.
+def bounding_box_extent(columns):
+    """Per-axis extent (max minus min) of (3, n) component-first points.
 
-    Reduced over a transposed copy, one contiguous column per axis:
-    ``points.max(axis=0)`` on an (n, 3) array is about ten times slower and
-    gives the same values.
+    Reduced over one contiguous row per axis, such as a mesh's
+    :attr:`TriMesh.columns`: ``points.max(axis=0)`` on the (n, 3) points
+    is about ten times slower and gives the same values.
     """
-    columns = np.ascontiguousarray(points.T)
     return columns.max(axis=1) - columns.min(axis=1)
 
 
@@ -103,6 +102,8 @@ class TriMesh:
         faces.setflags(write=False)
         self.positions = positions
         self.faces = faces
+        self._columns = None
+        self._face_columns = None
         self._topology = None
         self._area_floor = None
         self._conn = None  # operator index structures, built by ddg
@@ -115,18 +116,53 @@ class TriMesh:
     def face_count(self):
         return self.faces.shape[0]
 
+    @property
+    def columns(self):
+        """(3, n) read-only component-first copy of the positions (cached).
+
+        Row a holds coordinate a of every vertex, contiguous: the corner
+        gather, the bounding box, the Laplacian of the coordinates and the
+        diagnostics' pair scan all read it.
+        """
+        if self._columns is None:
+            columns = np.ascontiguousarray(self.positions.T)
+            columns.setflags(write=False)
+            self._columns = columns
+        return self._columns
+
+    @property
+    def face_columns(self):
+        """(3, m) read-only contiguous copy of ``faces.T`` (cached)."""
+        if self._face_columns is None:
+            face_columns = np.ascontiguousarray(self.faces.T)
+            face_columns.setflags(write=False)
+            self._face_columns = face_columns
+        return self._face_columns
+
     def with_positions(self, positions):
         """Successor mesh with identical connectivity and new coordinates."""
         out = TriMesh(positions, self.faces)
         # connectivity-derived caches stay valid
+        out._face_columns = self._face_columns
         out._topology = self._topology
         out._conn = self._conn
+        return out
+
+    def with_columns(self, columns):
+        """:meth:`with_positions` from (3, n) component-first coordinates.
+
+        ``columns`` becomes the successor's :attr:`columns` (it is marked
+        read-only) and its positions are the transposed copy.
+        """
+        out = self.with_positions(columns.T)
+        columns.setflags(write=False)
+        out._columns = columns
         return out
 
     def bounding_box_diagonal(self):
         # np.linalg.norm of a 1-D real array is this square root of a dot
         # product, bit for bit; its dispatch costs more than the sum
-        extent = bounding_box_extent(self.positions)
+        extent = bounding_box_extent(self.columns)
         return math.sqrt(float(extent.dot(extent)))
 
     def area_floor(self):
@@ -149,21 +185,29 @@ class TriMesh:
 
 
 class FaceFrame(NamedTuple):
-    """A mesh's corners, edges and edge cross products, gathered once.
+    """A mesh's corners, edges, edge cross products and volume, gathered once.
 
-    Every field is component-first: ``corners[a, k, f]`` is coordinate
-    ``a`` of corner ``k`` of face ``f``.  ``ring`` holds the edges e20,
-    e01, e12, e20 in its four slots, so that :attr:`edges`, edge k from
-    corner k to corner k+1, is ``ring[:, 1:]`` and edge k-1 is
+    Every array field is component-first: ``corners[a, k, f]`` is
+    coordinate ``a`` of corner ``k`` of face ``f``.  ``ring`` holds the
+    edges e20, e01, e12, e20 in its four slots, so that :attr:`edges`, edge
+    k from corner k to corner k+1, is ``ring[:, 1:]`` and edge k-1 is
     ``ring[:, :3]``: both are views.  ``cross`` is e01 x e12, twice the
     face area along the winding normal.  ``corners[:, k]`` and
     ``edges[:, k]`` are (3, m) vector fields for :func:`cross3` and
     :func:`dot3`.
+
+    ``volume`` is the signed enclosed volume, the signed-tetrahedron sum
+    -(1/6) sum p0 . (e01 x e12), positive for inward orientation.  It
+    equals the sum of p0 . (p1 x p2) in real arithmetic and reuses
+    ``cross``; it is the package's one volume formula, measured once per
+    frame, so the flow's volume check, the cache built on the same frame
+    and the diagnostics row all read the same number.
     """
 
     corners: np.ndarray
     ring: np.ndarray
     cross: np.ndarray
+    volume: float
 
     @property
     def edges(self):
@@ -173,24 +217,14 @@ class FaceFrame(NamedTuple):
 
 def face_frame(mesh):
     """The :class:`FaceFrame` of ``mesh``: one gather of its corners."""
-    corners = np.take(mesh.positions.T, mesh.faces.T, axis=1)
+    corners = np.take(mesh.columns, mesh.face_columns, axis=1)
     ring = np.empty((3, 4, corners.shape[2]))
     np.subtract(corners[:, 1:], corners[:, :2], out=ring[:, 1:3])
     np.subtract(corners[:, 0], corners[:, 2], out=ring[:, 3])
     ring[:, 0] = ring[:, 3]
-    return FaceFrame(corners, ring, cross3(ring[:, 1], ring[:, 2]))
-
-
-def tet_volume(frame):
-    """Signed enclosed volume from a :class:`FaceFrame`.
-
-    The signed-tetrahedron sum -(1/6) sum p0 . (e01 x e12), positive for
-    inward orientation.  It equals the sum of p0 . (p1 x p2) exactly in
-    real arithmetic and reuses the cross product of
-    :func:`face_geometry`, so the flow measures a trial's volume on the
-    frame it builds the trial's geometry from.
-    """
-    return -float(dot3(frame.corners[:, 0], frame.cross).sum()) / 6.0
+    cross = cross3(ring[:, 1], ring[:, 2])
+    volume = -float(dot3(corners[:, 0], cross).sum()) / 6.0
+    return FaceFrame(corners, ring, cross, volume)
 
 
 def face_geometry(mesh, frame=None):
@@ -202,8 +236,8 @@ def face_geometry(mesh, frame=None):
     ``sq[k]`` the squared length of the edge from corner k to corner k+1.
     Both are read off the frame's edge ring, whose edge k and edge k-1 are
     views, so no edge array is copied.  ``frame`` lets a caller that
-    already built the mesh's :class:`FaceFrame` (the flow's volume check
-    and the quality pass do) hand it over.
+    already built the mesh's :class:`FaceFrame` (the flow's volume check,
+    the quality pass and :func:`~vpwf.ddg.build_cache` do) hand it over.
 
     Raises
     ------

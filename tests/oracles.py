@@ -243,6 +243,51 @@ def per_row_obj_text(positions, faces, comments=()):
     return "".join(out)
 
 
+def reference_read_obj(path):
+    """The line-at-a-time OBJ reader that ``fileio.read_obj`` replaced.
+
+    Returns (positions, faces) or raises its ``FileFormatError``; the
+    whole-file parser must give the same arrays and the same error text.
+    """
+    from vpwf.errors import FileFormatError
+
+    positions = []
+    faces = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            tag = parts[0]
+            if tag == "v":
+                if len(parts) < 4:
+                    raise FileFormatError(
+                        "vertex record needs 3 coordinates", path, lineno)
+                try:
+                    positions.append([float(x) for x in parts[1:4]])
+                except ValueError:
+                    raise FileFormatError(
+                        "bad vertex coordinate", path, lineno) from None
+            elif tag == "f":
+                if len(parts) != 4:
+                    raise FileFormatError(
+                        "only triangular faces are supported", path, lineno)
+                try:
+                    idx = [int(p.split("/")[0]) for p in parts[1:]]
+                except ValueError:
+                    raise FileFormatError(
+                        "bad face index", path, lineno) from None
+                if any(i == 0 for i in idx):
+                    raise FileFormatError(
+                        "OBJ face indices are 1-based", path, lineno)
+                faces.append(
+                    [i - 1 if i > 0 else len(positions) + i for i in idx])
+    if not positions or not faces:
+        raise FileFormatError("no geometry found", path)
+    return np.array(positions), np.array(faces)
+
+
 def reference_geometry(mesh):
     """Every :class:`~vpwf.ddg.GeometryCache` field by the earlier formulas.
 
@@ -318,6 +363,25 @@ def reference_geometry(mesh):
         "total_area": float(areas.sum()),
         "h_min": float(np.sqrt(sq.min())),
     }
+
+
+def reference_defects(mesh, cache, origin=None):
+    """(scale defect, translation defect) by their (n, 3) formulas.
+
+    The radial term is the row sum of ``normals * positions``; the
+    translation vector is the column sum of a C-ordered (n, 3) array, which
+    runs one vertex row after another.  The package's component-first forms
+    claim the same bits.
+    """
+    from vpwf.functionals import scalar_willmore_gradient
+
+    grad = scalar_willmore_gradient(cache)
+    pos = mesh.positions if origin is None else mesh.positions - origin
+    radial = np.sum(cache.normals * pos, axis=1)
+    terms = np.ascontiguousarray(
+        grad[:, None] * cache.normals * cache.mass[:, None])
+    return (float(np.sum(grad * radial * cache.mass)),
+            float(np.linalg.norm(terms.sum(axis=0))))
 
 
 def reference_rates(cache):

@@ -395,6 +395,18 @@ _BASE_MESHES = {
 
 
 @functools.cache
+@pytest.mark.parametrize("shape", sorted(_BASE_MESHES))
+@pytest.mark.parametrize("jitter", [0.0, 0.1])
+def test_cache_volume_is_the_signed_volume(shape, jitter):
+    # the cache keeps the volume of the frame it was built on, handed over
+    # or gathered by build_cache itself
+    base = _base_mesh(shape)
+    noise = np.random.default_rng(3).uniform(-1.0, 1.0, base.positions.shape)
+    mesh = base.with_positions(base.positions + jitter * 0.01 * noise)
+    for cache in (build_cache(mesh), build_cache(mesh, face_frame(mesh))):
+        assert cache.volume == signed_volume(mesh)
+
+
 def _base_mesh(shape):
     return _BASE_MESHES[shape]()
 

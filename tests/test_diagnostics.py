@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from contextlib import contextmanager
 from functools import lru_cache
@@ -30,7 +31,14 @@ from vpwf.errors import (
     SingularFitError,
     ZeroVolumeError,
 )
-from vpwf.flow import FlowConfig, FlowState, StopRule, initial_state, run
+from vpwf.flow import (
+    FlowConfig,
+    FlowState,
+    QualityConfig,
+    StopRule,
+    initial_state,
+    run,
+)
 from vpwf.functionals import (
     lagrange_multiplier,
     signed_volume,
@@ -330,9 +338,52 @@ class TestRecord:
         assert (row.willmore, row.wbar) == (willmore(cache), wbar(cache))
 
 
+class TestRowVolume:
+    """A row's V is the cache's volume: the signed volume of the row's mesh,
+    bit for bit, however the step that made the mesh measured it."""
+
+    config = FlowConfig(kappa_radii=(0.5, 3.0))
+
+    def assert_row_volume(self, state):
+        row = record(state, state.cache, self.config)
+        assert row.volume == state.volume == signed_volume(state.mesh)
+
+    def test_initial_state(self):
+        self.assert_row_volume(initial_state(ellipsoid(1.2, 1.0, 0.85, 2)))
+
+    def test_after_a_newton_fallback(self):
+        from vpwf import flow
+
+        state = initial_state(ellipsoid(1.2, 1.0, 0.85, 2))
+        dt = flow.choose_dt(state.cache, self.config, state.rates.max_speed)
+        # a remainder off by 1e-4 of the volume: the prediction misses
+        missed = dataclasses.replace(
+            state, volume_remainder=1e-4 * state.target_volume / dt ** 2)
+        with mock.patch.object(flow, "volume_project",
+                               wraps=flow.volume_project) as project:
+            after = flow.step(missed, self.config)
+        assert project.call_count >= 1
+        self.assert_row_volume(after)
+
+    def test_after_a_kept_flip_pass(self):
+        from vpwf import flow
+
+        mesh = ellipsoid(1.0, 1.0, 2.5, 2)
+        config = FlowConfig(quality=QualityConfig(enabled=True,
+                                                  cadence_steps=1))
+        with mock.patch.object(flow, "quality_pass",
+                               wraps=flow.quality_pass) as entered:
+            after = flow.step(initial_state(mesh), config)
+        # only a kept pass changes the faces
+        assert entered.call_count == 1
+        assert not np.array_equal(after.mesh.faces, mesh.faces)
+        self.assert_row_volume(after)
+
+
 def _assert_scan_exact(positions, weights, radii):
     """diameter and concentration_profile against the direct oracles."""
-    mesh = SimpleNamespace(positions=positions)
+    mesh = SimpleNamespace(positions=positions,
+                           columns=np.ascontiguousarray(positions.T))
     cache = SimpleNamespace(abs_A_sq=weights, mass=np.ones(len(weights)))
     assert diameter(mesh) == brute_force_diameter(positions)
     values, centres = concentration_profile(mesh, cache, radii)
@@ -386,6 +437,8 @@ class TestPairScanProperties:
         mesh = TriMesh(random_rigid_motion(base.positions, seed), base.faces)
         cache = build_cache(mesh)
         weights = cache.abs_A_sq * cache.mass
+        # a radius just above the diameter: every ball holds every vertex
+        radii = radii + [1.001 * brute_force_diameter(mesh.positions)]
         _assert_scan_exact(mesh.positions, weights, radii)
         row = record(initial_state(mesh, cache), cache,
                      FlowConfig(kappa_radii=tuple(radii)))
@@ -536,12 +589,12 @@ class TestScanReuse:
         elif change == "count":
             p, w = p[:-1], w[:-1]
         with _scan_slot(None):
-            _pair_scan(p0, w0, radii0)
+            _pair_scan(p0.T, w0, radii0)
             with mock.patch.object(diagnostics, "_block_bounds",
                                    wraps=diagnostics._block_bounds) as spy:
-                follow = _pair_scan(p, w, radii)
+                follow = _pair_scan(p.T, w, radii)
         with _scan_slot(None):
-            fresh = _pair_scan(p, w, radii)
+            fresh = _pair_scan(p.T, w, radii)
         assert follow[0] == fresh[0]
         assert np.array_equal(follow[1], fresh[1])
         assert np.array_equal(follow[2], fresh[2])
@@ -560,8 +613,8 @@ class TestScanReuse:
                                          [0.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
         w = np.ones(4)
         with _scan_slot(None):
-            _pair_scan(p0, w, (0.1,))
-            diam_sq, _, _ = _pair_scan(p, w, (0.1,))
+            _pair_scan(p0.T, w, (0.1,))
+            diam_sq, _, _ = _pair_scan(p.T, w, (0.1,))
         assert diam_sq == _direct_sq(p[2], p[3]) > _direct_sq(p[0], p[1])
         assert np.sqrt(diam_sq) == brute_force_diameter(p)
 
@@ -572,10 +625,10 @@ class TestScanReuse:
         weights = cache.abs_A_sq * cache.mass
         moved = random_rigid_motion(mesh.positions, 3)
         with _scan_slot(None):
-            _pair_scan(moved, weights, (1.0, 3.0))
-            follow = _pair_scan(mesh.positions, weights, (1.0, 3.0))
+            _pair_scan(moved.T, weights, (1.0, 3.0))
+            follow = _pair_scan(mesh.columns, weights, (1.0, 3.0))
         with _scan_slot(None):
-            fresh = _pair_scan(mesh.positions, weights, (1.0, 3.0))
+            fresh = _pair_scan(mesh.columns, weights, (1.0, 3.0))
         assert follow[0] == fresh[0]
         assert np.array_equal(follow[1], fresh[1])
         assert np.array_equal(follow[2], fresh[2])

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from vpwf import fileio
 from vpwf.ddg import build_cache
 from vpwf.diagnostics import record
 from vpwf.errors import FileFormatError
@@ -19,7 +22,7 @@ from vpwf.flow import FlowConfig, initial_state
 from vpwf.generators import icosphere, perturbed_sphere
 from vpwf.mesh import TriMesh, validate
 
-from oracles import per_row_obj_text
+from oracles import per_row_obj_text, reference_read_obj
 
 
 class TestObj:
@@ -90,6 +93,104 @@ class TestObj:
         assert mesh.face_count == 4
         validate(mesh)
 
+    def test_relative_indices_count_back_from_the_face_line(self, tmp_path):
+        # -1 is the last vertex read before the face line, not the last
+        # vertex of the file
+        path = tmp_path / "relative.obj"
+        path.write_text(
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -1 -2\n"
+            "v 0 0 1\nf 1 -1 3\nf -4/1/1 -3//2 -1\nf 2 3 -1\n"
+            "v 9 9 9\n"
+        )
+        mesh = read_obj(path)
+        assert mesh.faces.tolist() == [[0, 2, 1], [0, 3, 2], [0, 1, 3],
+                                       [1, 2, 3]]
+        assert mesh.vertex_count == 5
+
+    def test_w_coordinate_is_ignored(self, tmp_path):
+        path = tmp_path / "homogeneous.obj"
+        path.write_text(
+            "v 0 0 0 1\nv 1 0 0 0.5\nv 0 1 0\nv\t0 0 1 2.0\n"
+            "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
+        )
+        mesh = read_obj(path)
+        assert np.array_equal(mesh.positions,
+                              [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        validate(mesh)
+
+    @pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2/2 0/3", "f 1//1 0 2"])
+    def test_zero_index_is_refused_at_its_line(self, tmp_path, face):
+        path = tmp_path / "zero.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\n# c\nv 0 1 0\n%s\n" % face)
+        with pytest.raises(FileFormatError) as err:
+            read_obj(path)
+        assert str(err.value) == "%s:5: OBJ face indices are 1-based" % path
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("v 0 0 0\nf 1 2\nv 1 0\n", 2, "only triangular faces are supported"),
+        ("f 1 x 2\nv 0 0\n", 1, "bad face index"),
+        ("v 0 0 0\nv 0 0 q\nf 0 1 2\n", 2, "bad vertex coordinate"),
+        ("v 0 0 0\nf 1 2 0\nv 0 0\n", 2, "OBJ face indices are 1-based"),
+        ("f 1 2 3\n  v 0 0\nf 1 2 3 4\n", 2,
+         "vertex record needs 3 coordinates"),
+    ])
+    def test_first_malformed_record_is_named(self, tmp_path, text, line,
+                                             message):
+        path = tmp_path / "bad.obj"
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as err:
+            read_obj(path)
+        assert str(err.value) == "%s:%d: %s" % (path, line, message)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.lists(st.one_of(
+        st.tuples(st.just("v"), st.lists(
+            st.one_of(st.floats(allow_nan=False).map(repr),
+                      st.sampled_from(["1", "-0", "1e-320", "2."])),
+            min_size=3, max_size=4)),
+        st.tuples(st.just("f"), st.lists(
+            st.tuples(st.integers(-6, -1) | st.integers(1, 6),
+                      st.sampled_from(["", "/1", "//2", "/3/4"])),
+            min_size=3, max_size=3)),
+        st.sampled_from(["", "# f 0 0 0", "vn 0 0 1", "vt 0.5 0.5",
+                         "o name", "  ", "s off", "\tv 1 2 3", " f 1 2 3"]),
+        # each malformed in its own way
+        st.sampled_from(["v 1 2", "v 1 x 3", "f 1 2", "f 1 2 3 4",
+                         "f 1 0 2", "f 1/ 2 3", "f a b c",
+                         "f 1 2 3 # note", "v 1 2 3 # note"]),
+    ), max_size=25))
+    def test_matches_the_line_at_a_time_reader(self, tmp_path, records):
+        # the same arrays, or the same error text at the same line
+        lines = []
+        for record in records:
+            if isinstance(record, str):
+                lines.append(record)
+            elif record[0] == "v":
+                lines.append(" ".join(["v"] + record[1]))
+            else:
+                lines.append(" ".join(
+                    ["f"] + ["%d%s" % index for index in record[1]]))
+        path = tmp_path / "drawn.obj"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            want = reference_read_obj(path)
+        except FileFormatError as exc:
+            want = str(exc)
+        # the shipped chunk, and chunks of a few lines: relative indices
+        # and error lines cross chunk boundaries
+        for chunk in (fileio._OBJ_CHUNK_LINES, 1, 4):
+            with mock.patch.object(fileio, "_OBJ_CHUNK_LINES", chunk):
+                if isinstance(want, str):
+                    with pytest.raises(FileFormatError) as err:
+                        read_obj(path)
+                    assert str(err.value) == want
+                    continue
+                mesh = read_obj(path)
+            assert np.array_equal(mesh.positions.view(np.int64),
+                                  want[0].view(np.int64))
+            assert np.array_equal(mesh.faces, want[1])
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.obj"
         path.write_text("v 0 0 0\nv 1 0\n")
@@ -99,9 +200,10 @@ class TestObj:
 
     def test_missing_geometry(self, tmp_path):
         path = tmp_path / "empty.obj"
-        path.write_text("# nothing here\n")
-        with pytest.raises(FileFormatError):
-            read_obj(path)
+        for text in ("# nothing here\n", ""):
+            path.write_text(text)
+            with pytest.raises(FileFormatError):
+                read_obj(path)
 
 
 class TestOff:

@@ -20,6 +20,7 @@ from oracles import (
     ellipsoid_quadrature,
     octahedron,
     random_smooth_normal_field,
+    reference_defects,
     volume_gradient_normal,
 )
 
@@ -245,6 +246,22 @@ class TestScaleDefect:
             mesh = ellipsoid(1.2, 1.0, 0.85, level)
             values.append(abs(scale_defect(mesh, build_cache(mesh))))
         assert values[0] > values[1] > values[2]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_bits_as_the_row_formulas(self, seed):
+        # scaled, moved and jittered meshes, with and without an origin
+        rng = np.random.default_rng(seed)
+        base = (icosphere(3), ellipsoid(1.2, 1.0, 0.85, 3),
+                perturbed_sphere(3, 1.0, 3, 1, 0.1))[seed % 3]
+        positions = (base.positions * rng.uniform(0.1, 10.0)
+                     + rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)
+                     + 1e-3 * rng.normal(size=base.positions.shape))
+        mesh = base.with_positions(positions)
+        cache = build_cache(mesh)
+        for origin in (None, rng.normal(size=3)):
+            assert (scale_defect(mesh, cache, origin),
+                    translation_defect(cache)) == reference_defects(
+                        mesh, cache, origin)
 
     def test_origin_shift_bounded_by_translation_defect(self, ellipsoid4):
         mesh, cache = ellipsoid4

@@ -11,9 +11,9 @@ from vpwf.functionals import signed_volume
 from vpwf.generators import ellipsoid, icosphere, torus
 from vpwf.mesh import (
     TriMesh,
+    dot3,
     face_frame,
     face_geometry,
-    tet_volume,
     validate,
 )
 
@@ -160,10 +160,17 @@ class TestTetVolume:
     @pytest.mark.parametrize("builder", CLOSED_MESHES)
     def test_agrees_with_corner_triple_product(self, builder):
         mesh = builder()
-        volume = tet_volume(face_frame(mesh))
+        volume = face_frame(mesh).volume
         assert volume == signed_volume(mesh)
         assert volume == pytest.approx(self.corner_triple_sum(mesh),
                                        rel=1e-13)
+
+    @pytest.mark.parametrize("builder", CLOSED_MESHES)
+    def test_frame_volume_is_the_edge_cross_sum(self, builder):
+        # measured once, as the frame is built, from its own arrays
+        frame = face_frame(builder())
+        assert frame.volume == -float(
+            dot3(frame.corners[:, 0], frame.cross).sum()) / 6.0
 
     @pytest.mark.parametrize("builder", CLOSED_MESHES)
     @pytest.mark.parametrize("shift", [
@@ -185,6 +192,31 @@ class TestTriMesh:
         mesh = octahedron()
         with pytest.raises(ValueError):
             mesh.positions[0, 0] = 5.0
+
+    def test_columns_are_the_transposed_positions(self):
+        mesh = ellipsoid(1.2, 1.0, 0.85, 2)
+        columns, face_columns = mesh.columns, mesh.face_columns
+        assert columns is mesh.columns and face_columns is mesh.face_columns
+        for got, want in ((columns, mesh.positions.T),
+                          (face_columns, mesh.faces.T)):
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous and not got.flags.writeable
+        moved = mesh.with_positions(2.0 * mesh.positions)
+        assert moved.face_columns is face_columns
+        assert np.array_equal(moved.columns, 2.0 * columns)
+
+    def test_with_columns_adopts_the_columns(self):
+        mesh = ellipsoid(1.2, 1.0, 0.85, 2)
+        mesh.topology()
+        columns = mesh.columns + 0.25
+        moved = mesh.with_columns(columns)
+        assert moved.columns is columns and not columns.flags.writeable
+        assert np.array_equal(moved.positions, mesh.positions + 0.25)
+        assert moved.positions.flags.c_contiguous
+        assert moved.topology() is mesh.topology()
+        assert np.array_equal(face_frame(moved).corners,
+                              face_frame(TriMesh(moved.positions,
+                                                 mesh.faces)).corners)
 
     def test_with_positions_shares_connectivity(self):
         mesh = octahedron()
